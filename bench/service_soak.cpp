@@ -98,33 +98,6 @@ void run_client(const std::string& sock_path, int index, Clock::time_point deadl
   }
 }
 
-/// p99 upper bound over the merged per-tenant queue-wait histograms
-/// (power-of-two buckets: the bound is the bucket's `le` edge).
-uint64_t merged_p99_ns(const obs::MetricsSnapshot& snap, const char* family_name) {
-  const obs::FamilySnapshot* fam = snap.family(family_name);
-  if (fam == nullptr) return 0;
-  std::vector<uint64_t> counts;  // non-cumulative, merged across series
-  uint64_t total = 0;
-  for (const obs::SeriesSnapshot& s : fam->series) {
-    if (counts.size() < s.buckets.size()) counts.resize(s.buckets.size(), 0);
-    uint64_t prev = 0;
-    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-      counts[i] += s.buckets[i].second - prev;
-      prev = s.buckets[i].second;
-    }
-    total += s.count;
-  }
-  if (total == 0) return 0;
-  const uint64_t target = (total * 99 + 99) / 100;
-  uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= target)
-      return obs::Histogram::bucket_bound(i);
-  }
-  return UINT64_MAX;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,7 +153,10 @@ int main(int argc, char** argv) {
   server.drain();
 
   const obs::MetricsSnapshot snap = server.metrics().snapshot();
-  const uint64_t p99_ns = merged_p99_ns(snap, "idxl_task_queue_wait_ns");
+  // p99 upper bound over the merged per-tenant queue-wait histograms
+  // (power-of-two buckets: the bound is the bucket's `le` edge).
+  const obs::FamilySnapshot* queue_wait = snap.family("idxl_task_queue_wait_ns");
+  const uint64_t p99_ns = queue_wait != nullptr ? queue_wait->percentile_bound(99) : 0;
   const double throughput = launches / elapsed;
 
   std::printf(

@@ -12,6 +12,41 @@ double stencil_weight(int64_t offset, int64_t radius) {
          (offset > 0 ? 1.0 : -1.0);
 }
 
+void stencil_block(const Accessor<double>& in, Accessor<double>& out, const Rect& cells,
+                   int64_t radius) {
+  if (cells.empty()) return;
+  const auto r = static_cast<std::size_t>(radius);
+  std::vector<double> w_pos(r + 1), w_neg(r + 1);
+  for (std::size_t k = 1; k <= r; ++k) {
+    w_pos[k] = stencil_weight(static_cast<int64_t>(k), radius);
+    w_neg[k] = stencil_weight(-static_cast<int64_t>(k), radius);
+  }
+  const int64_t y0 = cells.lo[1];
+  const auto n = static_cast<std::size_t>(cells.hi[1] - y0 + 1);
+  std::vector<ReadRow<double>> above, below;  // rows x + k and x - k
+  for (int64_t x = cells.lo[0]; x <= cells.hi[0]; ++x) {
+    const RwRow<double> dst = out.rw_row(Point::p2(x, y0), n);
+    // Row x from y0 - radius: element j + r is cell (x, y0 + j).
+    const ReadRow<double> row = in.read_row(Point::p2(x, y0 - radius), n + 2 * r);
+    above.clear();
+    below.clear();
+    for (int64_t k = 1; k <= radius; ++k) {
+      above.push_back(in.read_row(Point::p2(x + k, y0), n));
+      below.push_back(in.read_row(Point::p2(x - k, y0), n));
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = dst[j];
+      for (std::size_t k = 1; k <= r; ++k) {
+        acc += w_pos[k] * above[k - 1][j];
+        acc += w_neg[k] * below[k - 1][j];
+        acc += w_pos[k] * row[j + r + k];
+        acc += w_neg[k] * row[j + r - k];
+      }
+      dst[j] = acc;
+    }
+  }
+}
+
 StencilApp::StencilApp(RuntimeApi& rt, const StencilParams& params)
     : rt_(rt), params_(params) {
   IDXL_REQUIRE(params.nx / params.px > params.radius &&
@@ -42,25 +77,25 @@ StencilApp::StencilApp(RuntimeApi& rt, const StencilParams& params)
   const Rect interior(Point::p2(radius, radius),
                       Point::p2(params.nx - 1 - radius, params.ny - 1 - radius));
 
+  // Both bodies walk their block one row (fixed x, consecutive y) at a
+  // time through checked row views: the privilege and the ends of each row
+  // are checked once, each element by one compare against the row length.
   t_stencil_ = rt_.register_task("stencil", [fin, fout, radius, interior](TaskContext& ctx) {
-    auto in = ctx.region(0).accessor<double>(fin);
     auto out = ctx.region(1).accessor<double>(fout);
-    ctx.region(1).domain().for_each([&](const Point& p) {
-      if (!interior.contains(p)) return;  // PRK skips the boundary ring
-      double acc = out.read(p);
-      for (int64_t k = 1; k <= radius; ++k) {
-        acc += stencil_weight(k, radius) * in.read(Point::p2(p[0] + k, p[1]));
-        acc += stencil_weight(-k, radius) * in.read(Point::p2(p[0] - k, p[1]));
-        acc += stencil_weight(k, radius) * in.read(Point::p2(p[0], p[1] + k));
-        acc += stencil_weight(-k, radius) * in.read(Point::p2(p[0], p[1] - k));
-      }
-      out.write(p, acc);
-    });
+    // PRK skips the boundary ring.
+    stencil_block(ctx.region(0).accessor<double>(fin), out,
+                  ctx.region(1).domain().bounds().intersection(interior), radius);
   });
 
   t_increment_ = rt_.register_task("increment", [fin](TaskContext& ctx) {
     auto in = ctx.region(0).accessor<double>(fin);
-    ctx.region(0).domain().for_each([&](const Point& p) { in.write(p, in.read(p) + 1.0); });
+    const Rect& cells = ctx.region(0).domain().bounds();
+    if (cells.empty()) return;
+    const auto n = static_cast<std::size_t>(cells.hi[1] - cells.lo[1] + 1);
+    for (int64_t x = cells.lo[0]; x <= cells.hi[0]; ++x) {
+      RwRow<double> row = in.rw_row(Point::p2(x, cells.lo[1]), n);
+      for (std::size_t j = 0; j < n; ++j) row[j] += 1.0;
+    }
   });
 }
 

@@ -51,4 +51,11 @@ class StencilApp {
 /// axes (PRK normalization).
 double stencil_weight(int64_t offset, int64_t radius);
 
+/// The stencil task's work on `cells` (a 2-D rect): out(x, y) += the
+/// weighted star of `in` around (x, y), for every cell. Reads and writes go
+/// through checked row views, and the additions run in the order of
+/// StencilApp::reference_output, so the result is bit-identical to it.
+void stencil_block(const Accessor<double>& in, Accessor<double>& out, const Rect& cells,
+                   int64_t radius);
+
 }  // namespace idxl::apps

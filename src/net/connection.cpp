@@ -72,6 +72,24 @@ void Connection::send(uint8_t type, const std::vector<std::byte>& payload) {
   {
     std::lock_guard<std::mutex> lock(send_mu_);
     IDXL_REQUIRE(!stop_sender_, "send() on a closed connection");
+    if (sender_idle_) {
+      // Nothing queued and nothing in flight: write from this thread, which
+      // keeps frame order and saves a thread hop per frame. Whatever the
+      // socket does not take now goes to the sender thread below.
+      std::size_t written = 0;
+      try {
+        written = sock_.write_nonblocking(wire.data(), wire.size());
+      } catch (const std::exception&) {
+        // Peer is gone: the same teardown as a failed write on the sender
+        // thread, which then exits.
+        stop_sender_ = true;
+        send_cv_.notify_one();
+        drained_cv_.notify_all();
+        return;
+      }
+      if (written == wire.size()) return;
+      wire.erase(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(written));
+    }
     send_queue_.push_back(std::move(wire));
     sender_idle_ = false;
     queue_depth_.add(1);
@@ -145,9 +163,15 @@ std::string Connection::recv_loop(const FrameHandler& on_frame) {
 }
 
 void Connection::start_recv(FrameHandler on_frame, CloseHandler on_close) {
+  std::lock_guard<std::mutex> lock(start_mu_);
   IDXL_REQUIRE(!receiver_.joinable(), "start_recv called twice");
   receiver_ = std::thread(
       [this, on_frame = std::move(on_frame), on_close = std::move(on_close)] {
+        // Wait until receiver_ is assigned: a frame handled here may make
+        // another thread close() this connection, which reads receiver_.
+        {
+          std::lock_guard<std::mutex> started(start_mu_);
+        }
         const std::string error = recv_loop(on_frame);
         if (on_close) on_close(error);
       });

@@ -27,9 +27,11 @@ struct NetObs {
   const char* (*type_name)(uint8_t type) = nullptr;
 };
 
-/// One peer connection: an async send queue drained by a dedicated sender
-/// thread (so issuing threads never block on the kernel socket buffer) plus
-/// a blocking receive loop, with per-message-type byte/frame counters.
+/// One peer connection: frames are written straight from the sending thread
+/// while the socket takes them without blocking; the rest goes to an async
+/// send queue drained by a dedicated sender thread (so issuing threads never
+/// block on the kernel socket buffer). Plus a blocking receive loop, with
+/// per-message-type byte/frame counters.
 ///
 /// Lifecycle: construct over a connected Socket; optionally start_recv();
 /// send() until drain() (flush the queue, keep receiving) or close()
@@ -48,8 +50,11 @@ class Connection {
 
   const std::string& peer() const { return peer_; }
 
-  /// Enqueue one frame; the sender thread writes it out in FIFO order.
-  /// Throws if the connection is already closed.
+  /// Send one frame, in FIFO order with every other send(). When nothing
+  /// is queued the calling thread writes it with a non-blocking send; the
+  /// bytes the socket does not take, and any frame sent while others are
+  /// queued, are written by the sender thread. Throws if the connection is
+  /// already closed.
   void send(uint8_t type, const std::vector<std::byte>& payload);
 
   /// Run the receive loop on a background thread, one call per frame.
@@ -91,9 +96,10 @@ class Connection {
   std::condition_variable drained_cv_;
   std::deque<std::vector<std::byte>> send_queue_;
   bool stop_sender_ = false;
-  bool sender_idle_ = true;
+  bool sender_idle_ = true;  // queue empty and the sender thread not writing
 
   std::thread sender_;
+  std::mutex start_mu_;  // held while start_recv assigns receiver_
   std::thread receiver_;
   std::atomic<bool> closed_{false};
   std::atomic<uint64_t> last_recv_ns_{0};

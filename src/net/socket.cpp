@@ -139,4 +139,19 @@ void Socket::write_all(const void* buf, std::size_t len) const {
   }
 }
 
+std::size_t Socket::write_nonblocking(const void* buf, std::size_t len) const {
+  const auto* p = static_cast<const std::byte*>(buf);
+  std::size_t written = 0;
+  while (written < len) {
+    const ssize_t n = ::send(fd_, p + written, len - written, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      written += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno != EINTR) throw_errno("send");
+  }
+  return written;
+}
+
 }  // namespace idxl::net

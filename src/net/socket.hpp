@@ -56,6 +56,11 @@ class Socket {
   /// treat that as connection teardown, never as SIGPIPE.
   void write_all(const void* buf, std::size_t len) const;
 
+  /// Write as much of `buf` as the socket buffer takes without blocking;
+  /// returns the bytes written (0 when the buffer is full). Retries EINTR
+  /// and throws RuntimeError when the peer is gone, like write_all.
+  std::size_t write_nonblocking(const void* buf, std::size_t len) const;
+
  private:
   int fd_ = -1;
 };

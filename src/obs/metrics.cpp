@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 
 #include "obs/json.hpp"
 #include "support/error.hpp"
@@ -225,6 +226,27 @@ void MetricsRegistry::stop_sampler() {
 bool MetricsRegistry::sampler_running() const {
   std::lock_guard<std::mutex> lock(sampler_mu_);
   return sampler_.joinable();
+}
+
+uint64_t FamilySnapshot::percentile_bound(uint32_t percent) const {
+  std::map<uint64_t, uint64_t> counts;  // le -> merged non-cumulative count
+  uint64_t total = 0;
+  for (const SeriesSnapshot& s : series) {
+    uint64_t prev = 0;
+    for (const auto& [le, cumulative] : s.buckets) {
+      counts[le] += cumulative - prev;
+      prev = cumulative;
+    }
+    total += s.count;
+  }
+  if (total == 0) return 0;
+  const uint64_t target = (total * percent + 99) / 100;
+  uint64_t seen = 0;
+  for (const auto& [le, count] : counts) {
+    seen += count;
+    if (seen >= target) return le;
+  }
+  return UINT64_MAX;
 }
 
 const FamilySnapshot* MetricsSnapshot::family(std::string_view name) const {

@@ -140,6 +140,12 @@ struct FamilySnapshot {
   std::string help;
   MetricKind kind = MetricKind::kCounter;
   std::vector<SeriesSnapshot> series;
+
+  /// Histogram families: the `le` edge of the bucket holding the
+  /// `percent`-th percentile of every series merged. Series are merged by
+  /// bucket edge, since a snapshot lists only the buckets a series has
+  /// filled. 0 when the family holds no observation.
+  uint64_t percentile_bound(uint32_t percent) const;
 };
 
 /// A one-pass read of every series in a registry. All atomics are read in a

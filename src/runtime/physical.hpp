@@ -65,9 +65,9 @@ class PhysicalRegion {
     for (const ResolvedField& rf : resolved_) {
       if (rf.id != f) continue;
       IDXL_REQUIRE(rf.size == size, "fill pattern size does not match the field");
-      domain_->for_each([&](const Point& p) {
-        std::memcpy(rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * size,
-                    pattern, size);
+      for_each_run([&](std::size_t slot, std::size_t n) {
+        std::byte* dst = rf.data + slot * size;
+        for (std::size_t i = 0; i < n; ++i) std::memcpy(dst + i * size, pattern, size);
       });
       return;
     }
@@ -81,10 +81,10 @@ class PhysicalRegion {
   /// performs implicitly between memories.
   void copy_out(std::vector<std::byte>& out) const {
     for (const ResolvedField& rf : resolved_) {
-      domain_->for_each([&](const Point& p) {
-        const std::byte* src =
-            rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size;
-        out.insert(out.end(), src, src + rf.size);
+      out.reserve(out.size() + static_cast<std::size_t>(domain_->volume()) * rf.size);
+      for_each_run([&](std::size_t slot, std::size_t n) {
+        const std::byte* src = rf.data + slot * rf.size;
+        out.insert(out.end(), src, src + n * rf.size);
       });
     }
   }
@@ -94,12 +94,12 @@ class PhysicalRegion {
   /// range. Throws RuntimeError if `in` is too short.
   std::size_t copy_in(const std::vector<std::byte>& in, std::size_t offset) {
     for (const ResolvedField& rf : resolved_) {
-      domain_->for_each([&](const Point& p) {
-        IDXL_REQUIRE(offset + rf.size <= in.size(),
+      for_each_run([&](std::size_t slot, std::size_t n) {
+        const std::size_t bytes = n * rf.size;
+        IDXL_REQUIRE(offset <= in.size() && bytes <= in.size() - offset,
                      "remote region payload shorter than the region view");
-        std::memcpy(rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size,
-                    in.data() + offset, rf.size);
-        offset += rf.size;
+        std::memcpy(rf.data + slot * rf.size, in.data() + offset, bytes);
+        offset += bytes;
       });
     }
     return offset;
@@ -113,11 +113,10 @@ class PhysicalRegion {
     IDXL_REQUIRE(storage_bounds_.contains(rect),
                  "transfer rect escapes the region's storage bounds");
     out.reserve(out.size() + static_cast<std::size_t>(rect.volume()) * rf.size);
-    for (const Point& p : rect) {
-      const std::byte* src =
-          rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size;
-      out.insert(out.end(), src, src + rf.size);
-    }
+    for_each_row(rect, [&](std::size_t slot, std::size_t n) {
+      const std::byte* src = rf.data + slot * rf.size;
+      out.insert(out.end(), src, src + n * rf.size);
+    });
   }
 
   /// Apply a copy_out_rect payload to field `f` over `rect`. The symmetric
@@ -129,11 +128,10 @@ class PhysicalRegion {
     IDXL_REQUIRE(in.size() == static_cast<std::size_t>(rect.volume()) * rf.size,
                  "region patch payload does not match its rect");
     std::size_t offset = 0;
-    for (const Point& p : rect) {
-      std::memcpy(rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size,
-                  in.data() + offset, rf.size);
-      offset += rf.size;
-    }
+    for_each_row(rect, [&](std::size_t slot, std::size_t n) {
+      std::memcpy(rf.data + slot * rf.size, in.data() + offset, n * rf.size);
+      offset += n * rf.size;
+    });
   }
 
  private:
@@ -141,6 +139,37 @@ class PhysicalRegion {
     for (const ResolvedField& rf : resolved_)
       if (rf.id == f) return rf;
     throw RuntimeError("idxl: field was not requested by this region argument");
+  }
+
+  /// Call `fn(slot, n)` for each row of `rect` along the last dimension, in
+  /// row-major order: `n` elements starting at storage slot `slot`. Both
+  /// ends of every row are checked against the storage bounds.
+  template <typename Fn>
+  void for_each_row(const Rect& rect, Fn&& fn) const {
+    if (rect.empty()) return;
+    const int last = rect.dim() - 1;
+    Rect starts = rect;
+    starts.hi[last] = rect.lo[last];
+    const auto n = static_cast<std::size_t>(rect.hi[last] - rect.lo[last] + 1);
+    for (const Point& start : starts) {
+      Point end = start;
+      end[last] = rect.hi[last];
+      IDXL_ASSERT_MSG(storage_bounds_.contains(end), "row escapes the region's storage");
+      fn(static_cast<std::size_t>(storage_bounds_.linearize(start)), n);
+    }
+  }
+
+  /// for_each_row over this view's domain when it is dense; one point at a
+  /// time, in Domain::for_each order, when it is sparse.
+  template <typename Fn>
+  void for_each_run(Fn&& fn) const {
+    if (domain_->dense()) {
+      for_each_row(domain_->bounds(), fn);
+    } else {
+      domain_->for_each([&](const Point& p) {
+        fn(static_cast<std::size_t>(storage_bounds_.linearize(p)), std::size_t{1});
+      });
+    }
   }
 
   RegionId region_;

@@ -98,7 +98,10 @@ void Deserializer::check_header(const char* what) {
                    " != expected " + std::to_string(kWireVersion));
 }
 
-void serialize_expr(Serializer& s, const Expr& e) {
+namespace {
+
+void serialize_expr_at(Serializer& s, const Expr& e, int depth) {
+  IDXL_REQUIRE(depth <= kMaxExprDepth, "projection expression nested too deeply to serialize");
   s.put_u8(static_cast<uint8_t>(e.kind));
   switch (e.kind) {
     case ExprKind::kConst:
@@ -106,44 +109,52 @@ void serialize_expr(Serializer& s, const Expr& e) {
       s.put_i64(e.value);
       return;
     case ExprKind::kNeg:
-      serialize_expr(s, *e.lhs);
+      serialize_expr_at(s, *e.lhs, depth + 1);
       return;
     default:
-      serialize_expr(s, *e.lhs);
-      serialize_expr(s, *e.rhs);
+      serialize_expr_at(s, *e.lhs, depth + 1);
+      serialize_expr_at(s, *e.rhs, depth + 1);
       return;
   }
 }
 
-ExprPtr deserialize_expr(Deserializer& d) {
+ExprPtr deserialize_expr_at(Deserializer& d, int depth) {
+  IDXL_REQUIRE(depth <= kMaxExprDepth, "projection expression in descriptor nested too deeply");
   const auto kind = static_cast<ExprKind>(d.get_u8());
+  const auto operand = [&] { return deserialize_expr_at(d, depth + 1); };
   switch (kind) {
     case ExprKind::kConst: return make_const(d.get_i64());
     case ExprKind::kCoord: return make_coord(static_cast<int>(d.get_i64()));
-    case ExprKind::kNeg: return make_neg(deserialize_expr(d));
+    case ExprKind::kNeg: return make_neg(operand());
     case ExprKind::kAdd: {
-      auto l = deserialize_expr(d);
-      return make_add(std::move(l), deserialize_expr(d));
+      auto l = operand();
+      return make_add(std::move(l), operand());
     }
     case ExprKind::kSub: {
-      auto l = deserialize_expr(d);
-      return make_sub(std::move(l), deserialize_expr(d));
+      auto l = operand();
+      return make_sub(std::move(l), operand());
     }
     case ExprKind::kMul: {
-      auto l = deserialize_expr(d);
-      return make_mul(std::move(l), deserialize_expr(d));
+      auto l = operand();
+      return make_mul(std::move(l), operand());
     }
     case ExprKind::kDiv: {
-      auto l = deserialize_expr(d);
-      return make_div(std::move(l), deserialize_expr(d));
+      auto l = operand();
+      return make_div(std::move(l), operand());
     }
     case ExprKind::kMod: {
-      auto l = deserialize_expr(d);
-      return make_mod(std::move(l), deserialize_expr(d));
+      auto l = operand();
+      return make_mod(std::move(l), operand());
     }
   }
   throw RuntimeError("idxl: corrupt expression in launch descriptor");
 }
+
+}  // namespace
+
+void serialize_expr(Serializer& s, const Expr& e) { serialize_expr_at(s, e, 1); }
+
+ExprPtr deserialize_expr(Deserializer& d) { return deserialize_expr_at(d, 1); }
 
 void serialize_domain(Serializer& s, const Domain& domain) {
   s.put_u8(domain.dense() ? 1 : 0);
@@ -164,6 +175,12 @@ Domain deserialize_domain(Deserializer& d) {
     return Domain(Rect(lo, hi));
   }
   const int64_t n = d.get_i64();
+  // Each point takes at least a dimension byte and one coordinate, so a
+  // count the remaining bytes cannot hold is corrupt; checked before the
+  // reserve so a hostile count cannot allocate.
+  constexpr int64_t kMinPointBytes = 1 + 8;
+  IDXL_REQUIRE(n >= 0 && n <= static_cast<int64_t>(d.remaining()) / kMinPointBytes,
+               "corrupt sparse-domain point count in descriptor");
   std::vector<Point> pts;
   pts.reserve(static_cast<std::size_t>(n));
   for (int64_t i = 0; i < n; ++i) pts.push_back(d.get_point());

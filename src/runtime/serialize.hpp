@@ -76,14 +76,21 @@ class Deserializer {
   /// magic or version mismatch.
   void check_header(const char* what);
   bool done() const { return cursor_ == bytes_->size(); }
+  std::size_t remaining() const { return bytes_->size() - cursor_; }
 
  private:
   const std::vector<std::byte>* bytes_;
   std::size_t cursor_ = 0;
 };
 
+/// Deepest projection-expression tree the wire format carries (a leaf has
+/// depth 1). serialize_expr refuses deeper trees, so deserialize_expr can
+/// reject them too and its recursion stays bounded on untrusted bytes.
+inline constexpr int kMaxExprDepth = 64;
+
 /// Encode / decode projection-functor expression trees. Opaque functors are
 /// not serializable (they are process-local callables) — IDXL_REQUIREd out.
+/// Both throw RuntimeError on a tree deeper than kMaxExprDepth.
 void serialize_expr(Serializer& s, const Expr& e);
 ExprPtr deserialize_expr(Deserializer& d);
 

@@ -118,7 +118,10 @@ void ThreadPool::timer_loop() {
       if (it->deadline < due->deadline) due = it;
     const auto now = std::chrono::steady_clock::now();
     if (due->deadline > now) {
-      timer_cv_.wait_until(lock, due->deadline);
+      // By value: wait_until re-reads its deadline after waking, and a
+      // submit_after on another thread may have reallocated timers_ by then.
+      const auto deadline = due->deadline;
+      timer_cv_.wait_until(lock, deadline);
       continue;
     }
     auto fn = std::move(due->fn);

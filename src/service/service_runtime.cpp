@@ -80,10 +80,12 @@ ServiceRuntime::ServiceRuntime(std::unique_ptr<RuntimeApi> backend,
       task_ids_.push_back(backend_->register_task(name, fn));
     }
     {
+      // Notify under the lock: once it is released the constructor may
+      // return and destroy ready_cv.
       std::lock_guard<std::mutex> lk(ready_mu);
       ready = true;
+      ready_cv.notify_all();
     }
-    ready_cv.notify_all();
     scheduler_main();
   });
   std::unique_lock<std::mutex> lk(ready_mu);
@@ -549,17 +551,28 @@ void ServiceRuntime::do_launch(Session& s, Msg kind, uint64_t tag,
   };
   std::string why;
   LaunchResult result;
+  // Client bytes are decoded apart from the backend call, so a descriptor
+  // that fails to decode is answered as kBadMessage, not as a backend
+  // refusal. Either way the session stays open.
+  IndexLauncher index;
+  TaskLauncher single;
+  try {
+    if (kind == Msg::kLaunch)
+      index = deserialize_launcher(body);
+    else
+      single = deserialize_task_launcher(body);
+  } catch (const RuntimeError& e) {
+    return fail(Err::kBadMessage, std::string("bad launch descriptor: ") + e.what());
+  }
   try {
     if (kind == Msg::kLaunch) {
-      IndexLauncher l = deserialize_launcher(body);
-      const Err code = translate_index(s, l, &why);
+      const Err code = translate_index(s, index, &why);
       if (code != Err::kOk) return fail(code, why);
-      result = backend_->execute_index(l);
+      result = backend_->execute_index(index);
     } else {
-      TaskLauncher l = deserialize_task_launcher(body);
-      const Err code = translate_single(s, l, &why);
+      const Err code = translate_single(s, single, &why);
       if (code != Err::kOk) return fail(code, why);
-      result = backend_->execute(l);
+      result = backend_->execute(single);
     }
   } catch (const RuntimeError& e) {
     return fail(Err::kBackend, e.what());

@@ -124,6 +124,35 @@ TEST(MetricsTest, HistogramSnapshotIsCumulativeWithInf) {
   }
 }
 
+TEST(MetricsTest, PercentileBoundMergesSeriesByBucketEdge) {
+  // A snapshot lists only the buckets a series has filled, so series must
+  // be merged by `le`, not by position: tenant "a" has no low bucket at
+  // all, and its 100 slow observations decide the p99.
+  obs::FamilySnapshot fam;
+  fam.name = "queue_wait_ns";
+  fam.kind = obs::MetricKind::kHistogram;
+  obs::SeriesSnapshot a, b;
+  a.labels = {{"tenant", "a"}};
+  a.count = 100;
+  a.buckets = {{1023, 100}, {UINT64_MAX, 100}};
+  b.labels = {{"tenant", "b"}};
+  b.count = 10;
+  b.buckets = {{3, 10}, {UINT64_MAX, 10}};
+  fam.series = {a, b};
+  EXPECT_EQ(fam.percentile_bound(99), 1023u);
+  EXPECT_EQ(fam.percentile_bound(5), 3u);
+  EXPECT_EQ(obs::FamilySnapshot{}.percentile_bound(99), 0u);
+
+  // The same through a live registry.
+  MetricsRegistry reg;
+  const Histogram slow = reg.histogram("wait_ns", "wait", {{"tenant", "slow"}});
+  const Histogram fast = reg.histogram("wait_ns", "wait", {{"tenant", "fast"}});
+  for (int i = 0; i < 100; ++i) slow.observe(1000);
+  fast.observe(3);
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.family("wait_ns")->percentile_bound(99), 1023u);
+}
+
 // ---------- concurrency ----------
 
 TEST(MetricsTest, ConcurrentUpdatesAreExact) {

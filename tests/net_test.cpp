@@ -3,6 +3,7 @@
 // socketpairs — no real network, tier-1 safe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -269,6 +270,65 @@ TEST(ConnectionTest, SendAfterCloseThrows) {
   Connection left(std::move(a), "peer", NetObs{});
   left.close();
   EXPECT_THROW(left.send(1, {}), RuntimeError);
+}
+
+TEST(ConnectionTest, DirectWritesHandOffToTheSenderInOrder) {
+  // Two threads interleave small frames with 8 MiB ones while nobody reads
+  // yet: the first big frame fills the socket buffer, so the calling
+  // thread's non-blocking write hands the rest to the sender thread and
+  // later frames queue behind it. Every frame must still arrive, whole and
+  // in each thread's order.
+  constexpr int kThreads = 2, kFrames = 12, kBigEvery = 6;
+  constexpr std::size_t kBig = 8u << 20;
+  obs::MetricsRegistry metrics;
+  NetObs obs;
+  obs.metrics = &metrics;
+  auto [a, b] = Socket::pair();
+  Connection left(std::move(a), "right", obs);
+  Connection right(std::move(b), "left", NetObs{});
+
+  // Payload: thread, sequence number, then a fill byte derived from both.
+  const auto fill_of = [](int t, int i) { return static_cast<std::byte>(t * 31 + i); };
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t)
+    senders.emplace_back([&, t] {
+      for (int i = 0; i < kFrames; ++i) {
+        std::vector<std::byte> payload(i % kBigEvery == kBigEvery - 1 ? kBig : 64, fill_of(t, i));
+        payload[0] = static_cast<std::byte>(t);
+        payload[1] = static_cast<std::byte>(i);
+        left.send(9, payload);
+      }
+    });
+  for (std::thread& th : senders) th.join();
+  EXPECT_GT(metrics.snapshot().value("idxl_net_send_queue_depth", {{"peer", "right"}}), 0u)
+      << "nothing was handed to the sender thread";
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> next(kThreads, 0);
+  int received = 0;
+  bool intact = true;
+  right.start_recv([&](Frame& f) {
+    std::lock_guard<std::mutex> lock(mu);
+    const int t = static_cast<int>(f.payload[0]);
+    const int i = static_cast<int>(f.payload[1]);
+    intact = intact && t < kThreads && i == next[static_cast<std::size_t>(t)]++ &&
+             f.payload.size() == (i % kBigEvery == kBigEvery - 1 ? kBig : 64) &&
+             std::all_of(f.payload.begin() + 2, f.payload.end(),
+                         [&](std::byte v) { return v == fill_of(t, i); });
+    ++received;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return received == kThreads * kFrames; }));
+    EXPECT_TRUE(intact) << "a frame arrived out of order or damaged";
+  }
+  left.drain();
+  left.close();
+  EXPECT_THROW(left.send(9, {}), RuntimeError);
+  right.close();
 }
 
 TEST(PeerMonitorTest, DetectsSilentPeer) {

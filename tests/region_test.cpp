@@ -340,6 +340,98 @@ TEST(RegionForestTest, AccessorTypeSizeMismatchThrows) {
   EXPECT_THROW((Accessor<int32_t>(forest, root, f, Privilege::kRead)), RuntimeError);
 }
 
+// ---------- Accessor fast path and row views ----------
+
+/// A 6x8 grid of doubles holding 100x + y, and its 2x2 block partition.
+struct Grid {
+  RegionForest forest;
+  IndexSpaceId is;
+  FieldId f = 0;
+  RegionId root;
+  PartitionId blocks;
+
+  Grid() {
+    is = forest.create_index_space(Domain(Rect::box2(6, 8)));
+    const FieldSpaceId fs = forest.create_field_space();
+    f = forest.allocate_field(fs, sizeof(double), "v");
+    root = forest.create_region(is, fs);
+    blocks = partition_equal(forest, is, Rect::box2(2, 2));
+    Accessor<double> w(forest, root, f, Privilege::kWrite);
+    for (const Point& p : Rect::box2(6, 8)) w.write(p, static_cast<double>(100 * p[0] + p[1]));
+  }
+
+  RegionId block(int64_t x, int64_t y) {
+    return forest.subregion(root, blocks, Point::p2(x, y));
+  }
+
+  /// Subregion over an explicit point list (a sparse domain).
+  RegionId sparse(std::vector<Point> pts) {
+    const PartitionId p = forest.create_partition(
+        is, Rect::line(1), {Domain::from_points(std::move(pts))}, Disjointness::kDisjoint);
+    return forest.subregion(root, p, Point::p1(0));
+  }
+};
+
+TEST(AccessorTest, RowViewsMatchPerElementAccess) {
+  Grid g;
+  const RegionId b = g.block(1, 1);  // cells (3..5, 4..7)
+  const Accessor<double> r(g.forest, b, g.f, Privilege::kRead);
+  for (int64_t x = 3; x <= 5; ++x) {
+    const ReadRow<double> row = r.read_row(Point::p2(x, 4), 4);
+    ASSERT_EQ(row.size(), 4u);
+    for (std::size_t j = 0; j < 4; ++j)
+      EXPECT_EQ(row[j], r.read(Point::p2(x, 4 + static_cast<int64_t>(j))));
+  }
+
+  Accessor<double> rw(g.forest, b, g.f, Privilege::kReadWrite);
+  const RwRow<double> row = rw.rw_row(Point::p2(4, 5), 3);
+  for (std::size_t j = 0; j < 3; ++j) row[j] += 0.5;
+  Accessor<double> w(g.forest, b, g.f, Privilege::kWrite);
+  const WriteRow<double> wrow = w.write_row(Point::p2(5, 4), 4);
+  for (std::size_t j = 0; j < 4; ++j) wrow.write(j, -1.0);
+
+  const Accessor<double> all(g.forest, g.root, g.f, Privilege::kRead);
+  for (const Point& p : Rect::box2(6, 8)) {
+    double want = static_cast<double>(100 * p[0] + p[1]);
+    if (p[0] == 4 && p[1] >= 5 && p[1] <= 7) want += 0.5;
+    if (p[0] == 5 && p[1] >= 4) want = -1.0;
+    EXPECT_EQ(all.read(p), want) << p;
+  }
+}
+
+TEST(AccessorTest, SparseDomainRowInsideTheDomain) {
+  Grid g;
+  const RegionId s = g.sparse({Point::p2(2, 1), Point::p2(2, 2), Point::p2(2, 3), Point::p2(4, 6)});
+  ASSERT_FALSE(g.forest.region_domain(s).dense());
+  const Accessor<double> r(g.forest, s, g.f, Privilege::kRead);
+  const ReadRow<double> row = r.read_row(Point::p2(2, 1), 3);
+  EXPECT_EQ(row[0], 201.0);
+  EXPECT_EQ(row[2], 203.0);
+  EXPECT_EQ(r.read(Point::p2(4, 6)), 406.0);
+  EXPECT_EQ(r.read_row(Point::p2(0, 0), 0).size(), 0u);  // empty: addresses nothing
+}
+
+TEST(AccessorDeathTest, RowViewsCheckThePrivilege) {
+  // Task-body versions of these, and of rows past the block edge, are
+  // RuntimeDeathTest cases; rw_row on a write-only view is only here.
+  Grid g;
+  Accessor<double> wo(g.forest, g.root, g.f, Privilege::kWrite);
+  EXPECT_DEATH((void)wo.read_row(Point::p2(0, 0), 2), "read_row without read privilege");
+  EXPECT_DEATH((void)wo.rw_row(Point::p2(0, 0), 2), "rw_row requires read-write privilege");
+  Accessor<double> ro(g.forest, g.root, g.f, Privilege::kRead);
+  EXPECT_DEATH((void)ro.write_row(Point::p2(0, 0), 2), "write_row without write privilege");
+}
+
+TEST(AccessorDeathTest, SparseDomainOutOfBoundsAborts) {
+  Grid g;
+  const RegionId s = g.sparse({Point::p2(2, 1), Point::p2(2, 3)});
+  Accessor<double> rw(g.forest, s, g.f, Privilege::kReadWrite);
+  // (2, 2) is inside the bounding box and the storage, but not the domain.
+  EXPECT_DEATH((void)rw.read(Point::p2(2, 2)), "region access out of privilege bounds");
+  EXPECT_DEATH(rw.write(Point::p2(2, 2), 1.0), "region access out of privilege bounds");
+  EXPECT_DEATH((void)rw.rw_row(Point::p2(2, 1), 3), "row view out of privilege bounds");
+}
+
 // ---------- RectBVH ----------
 
 TEST(RectBVHTest, EmptyAndSingle) {

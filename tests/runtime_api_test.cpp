@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dist/backend.hpp"
+#include "apps/stencil.hpp"
 #include "dist/dist_runtime.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
@@ -125,6 +126,37 @@ TEST(RuntimeApiTest, RunContractOnEveryBackend) {
     EXPECT_TRUE(report.ok()) << dist::backend_name(backend);
     EXPECT_EQ(got, expected()) << dist::backend_name(backend);
   }
+}
+
+TEST(RuntimeApiTest, StencilBitIdenticalOnLocalAndFourRanks) {
+  // The stencil bodies read and write through row views; on one process
+  // and on four forked ranks the result equals the serial reference
+  // exactly, not merely to a tolerance.
+  apps::StencilParams params;
+  params.nx = 48;
+  params.ny = 40;
+  params.px = 2;
+  params.py = 2;
+  params.radius = 2;
+  params.iterations = 3;
+  const std::vector<double> want =
+      apps::StencilApp::reference_output(params, params.iterations);
+
+  // The ranks fork first: no thread of the local runtime may exist yet.
+  dist::DistConfig dc;
+  dc.ranks = 4;
+  dist::DistributedRuntime ranks(dc);
+  apps::StencilApp dist_app(ranks, params);
+  dist_app.run(params.iterations);
+  EXPECT_EQ(dist_app.output(), want);
+  EXPECT_TRUE(ranks.fault_report().ok());
+
+  RuntimeConfig local_config;
+  local_config.workers = 1;
+  Runtime local(local_config);
+  apps::StencilApp local_app(local, params);
+  local_app.run(params.iterations);
+  EXPECT_EQ(local_app.output(), want);
 }
 
 TEST(RuntimeApiTest, EnvSelectsBackend) {

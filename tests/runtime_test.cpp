@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <thread>
 
@@ -571,6 +572,175 @@ TEST(RuntimeDeathTest, OutOfBoundsAccessAborts) {
         fx.rt.wait_all();
       },
       "bounds");
+}
+
+// Row views in task bodies: each checks the argument's privilege and the
+// block's bounds once, and each index against the row length.
+void expect_body_aborts(Privilege priv, const char* message,
+                        std::function<void(TaskContext&)> body) {
+  Fixture fx(8, 2);
+  const TaskFnId bad = fx.rt.register_task("bad", std::move(body));
+  const IndexLauncher launcher =
+      IndexLauncher::over(Domain::line(1))
+          .with_task(bad)
+          .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv}, priv);
+  EXPECT_DEATH(
+      {
+        fx.rt.execute_index(launcher);
+        fx.rt.wait_all();
+      },
+      message);
+}
+
+TEST(RuntimeDeathTest, RowCrossingTheBlockEdgeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  expect_body_aborts(Privilege::kReadWrite, "row view out of privilege", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    (void)acc.rw_row(Point::p1(2), 3);  // block 0 covers [0, 4)
+  });
+}
+
+TEST(RuntimeDeathTest, ReadRowOnWriteOnlyArgumentAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  expect_body_aborts(Privilege::kWrite, "read_row without read privilege", [](TaskContext& ctx) {
+    const auto acc = ctx.region(0).accessor<double>(0);
+    (void)acc.read_row(Point::p1(0), 4);
+  });
+}
+
+TEST(RuntimeDeathTest, WriteRowOnReadOnlyArgumentAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  expect_body_aborts(Privilege::kRead, "write_row without write privilege", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    (void)acc.write_row(Point::p1(0), 4);
+  });
+}
+
+TEST(RuntimeDeathTest, RowIndexPastTheEndAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  expect_body_aborts(Privilege::kWrite, "row index past the row end", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    const WriteRow<double> row = acc.write_row(Point::p1(0), 4);
+    for (std::size_t i = 0; i <= row.size(); ++i) row.write(i, 1.0);
+  });
+}
+
+// ---------- PhysicalRegion row-by-row copies ----------
+
+/// A region over `bounds` with an int64 field `fa` holding each element's
+/// row-major index and a double field `fb`. sub() makes a subregion over a
+/// domain, view() maps a region on both fields.
+struct CopyFixture {
+  RegionForest forest;
+  IndexSpaceId is;
+  FieldId fa = 0, fb = 0;
+  RegionId root;
+
+  explicit CopyFixture(const Rect& bounds) {
+    is = forest.create_index_space(Domain(bounds));
+    const FieldSpaceId fs = forest.create_field_space();
+    fa = forest.allocate_field(fs, sizeof(int64_t), "a");
+    fb = forest.allocate_field(fs, sizeof(double), "b");
+    root = forest.create_region(is, fs);
+    Accessor<int64_t> a(forest, root, fa, Privilege::kWrite);
+    Accessor<double> b(forest, root, fb, Privilege::kWrite);
+    for (const Point& p : bounds) {
+      a.write(p, bounds.linearize(p));
+      b.write(p, 0.5 * static_cast<double>(bounds.linearize(p)));
+    }
+  }
+
+  RegionId sub(const Domain& d) {
+    const PartitionId p =
+        forest.create_partition(is, Rect::line(1), {d}, Disjointness::kDisjoint);
+    return forest.subregion(root, p, Point::p1(0));
+  }
+
+  PhysicalRegion view(RegionId r, Privilege priv) {
+    return PhysicalRegion(forest, r, {fa, fb}, priv, ReductionOp::kNone);
+  }
+
+  /// What copy_out must produce: both fields, element by element.
+  std::vector<std::byte> expected_bytes(const Domain& d) {
+    std::vector<std::byte> out;
+    const Accessor<int64_t> a(forest, root, fa, Privilege::kRead);
+    const Accessor<double> b(forest, root, fb, Privilege::kRead);
+    d.for_each([&](const Point& p) { append(out, a.read(p)); });
+    d.for_each([&](const Point& p) { append(out, b.read(p)); });
+    return out;
+  }
+
+  template <typename T>
+  static void append(std::vector<std::byte>& out, const T& v) {
+    const auto* b = reinterpret_cast<const std::byte*>(&v);
+    out.insert(out.end(), b, b + sizeof(T));
+  }
+};
+
+void expect_round_trip(const Rect& bounds, const Domain& sub_domain, const Rect& strip) {
+  CopyFixture src(bounds);
+  const RegionId sub = src.sub(sub_domain);
+  std::vector<std::byte> bytes;
+  src.view(sub, Privilege::kRead).copy_out(bytes);
+  EXPECT_EQ(bytes, src.expected_bytes(sub_domain));
+
+  // Apply to a zeroed copy: exactly the view's elements come back.
+  const std::byte zeros[8] = {};
+  CopyFixture dst(bounds);
+  dst.view(dst.root, Privilege::kWrite).fill_bytes(dst.fa, zeros, sizeof(zeros));
+  dst.view(dst.root, Privilege::kWrite).fill_bytes(dst.fb, zeros, sizeof(zeros));
+  PhysicalRegion dst_view = dst.view(dst.sub(sub_domain), Privilege::kWrite);
+  EXPECT_EQ(dst_view.copy_in(bytes, 0), bytes.size());
+  const Accessor<int64_t> a(dst.forest, dst.root, dst.fa, Privilege::kRead);
+  for (const Point& p : bounds)
+    EXPECT_EQ(a.read(p), sub_domain.contains(p) ? bounds.linearize(p) : 0) << p;
+  EXPECT_THROW(dst_view.copy_in(bytes, 1), RuntimeError);  // one byte short
+
+  // A strip in row-major order, and back into a zeroed copy.
+  std::vector<std::byte> strip_bytes;
+  src.view(src.root, Privilege::kRead).copy_out_rect(src.fa, strip, strip_bytes);
+  std::vector<std::byte> want;
+  for (const Point& p : strip) CopyFixture::append(want, bounds.linearize(p));
+  EXPECT_EQ(strip_bytes, want);
+  CopyFixture back(bounds);
+  back.view(back.root, Privilege::kWrite).fill_bytes(back.fa, zeros, sizeof(zeros));
+  back.view(back.root, Privilege::kWrite).copy_in_rect(back.fa, strip, strip_bytes);
+  const Accessor<int64_t> c(back.forest, back.root, back.fa, Privilege::kRead);
+  for (const Point& p : bounds)
+    EXPECT_EQ(c.read(p), strip.contains(p) ? bounds.linearize(p) : 0) << p;
+}
+
+TEST(PhysicalRegionTest, RoundTrip1D) {
+  expect_round_trip(Rect::line(20), Domain(Rect(Point::p1(3), Point::p1(11))),
+                    Rect(Point::p1(5), Point::p1(17)));
+}
+
+TEST(PhysicalRegionTest, RoundTrip2D) {
+  expect_round_trip(Rect::box2(7, 9), Domain(Rect(Point::p2(1, 2), Point::p2(5, 6))),
+                    Rect(Point::p2(0, 7), Point::p2(6, 8)));
+}
+
+TEST(PhysicalRegionTest, RoundTrip3D) {
+  expect_round_trip(Rect::box3(4, 5, 6),
+                    Domain(Rect(Point::p3(1, 0, 2), Point::p3(3, 4, 4))),
+                    Rect(Point::p3(2, 1, 0), Point::p3(3, 3, 5)));
+}
+
+TEST(PhysicalRegionTest, RoundTripSparseDomain) {
+  expect_round_trip(Rect::box2(6, 6),
+                    Domain::from_points({Point::p2(0, 5), Point::p2(2, 1), Point::p2(2, 2),
+                                         Point::p2(4, 3), Point::p2(5, 0)}),
+                    Rect(Point::p2(1, 1), Point::p2(1, 4)));
+}
+
+TEST(PhysicalRegionTest, FillWritesOnlyTheView) {
+  CopyFixture fx(Rect::box2(5, 5));
+  const Domain d(Rect(Point::p2(1, 1), Point::p2(3, 2)));
+  const int64_t pattern = -7;
+  fx.view(fx.sub(d), Privilege::kWrite).fill_bytes(fx.fa, &pattern, sizeof(pattern));
+  const Accessor<int64_t> a(fx.forest, fx.root, fx.fa, Privilege::kRead);
+  for (const Point& p : Rect::box2(5, 5))
+    EXPECT_EQ(a.read(p), d.contains(p) ? -7 : Rect::box2(5, 5).linearize(p)) << p;
 }
 
 TEST(RuntimeTest, FutureReducesTaskReturnValues) {

@@ -4,6 +4,7 @@
 #include "runtime/runtime.hpp"
 #include "runtime/serialize.hpp"
 #include "support/rng.hpp"
+#include "hostile_descriptors.hpp"
 
 namespace idxl {
 namespace {
@@ -163,6 +164,43 @@ TEST(SerializeTest, RejectsTruncatedDescriptor) {
   auto bytes = serialize_launcher(sample_launcher(8));
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(deserialize_launcher(bytes), RuntimeError);
+}
+
+// Decoder hardening: untrusted descriptor bytes end in RuntimeError, never
+// in a stack overflow or an allocation failure.
+
+ExprPtr negations(int depth) {
+  ExprPtr e = make_coord(0);
+  for (int i = 1; i < depth; ++i) e = make_neg(std::move(e));
+  return e;
+}
+
+TEST(SerializeTest, ExprDepthCapMatchesTheSerializer) {
+  Serializer ok;
+  serialize_expr(ok, *negations(kMaxExprDepth));
+  Deserializer d(ok.bytes());
+  EXPECT_TRUE(expr_equal(*deserialize_expr(d), *negations(kMaxExprDepth)));
+
+  Serializer deep;
+  EXPECT_THROW(serialize_expr(deep, *negations(kMaxExprDepth + 1)), RuntimeError);
+}
+
+TEST(SerializeTest, NestedNegationInputThrows) {
+  const std::vector<std::byte> bytes = hostile::nested_neg_launcher();
+  ASSERT_GT(bytes.size(), 100'000u);
+  EXPECT_THROW(deserialize_launcher(bytes), RuntimeError);
+  // One level past the cap is refused too; the cap itself still decodes.
+  EXPECT_THROW(deserialize_launcher(hostile::nested_neg_launcher(kMaxExprDepth)), RuntimeError);
+  const IndexLauncher at_cap =
+      deserialize_launcher(hostile::nested_neg_launcher(kMaxExprDepth - 1));
+  EXPECT_EQ(at_cap.args.size(), 1u);
+}
+
+TEST(SerializeTest, SparsePointCountBeyondThePayloadThrows) {
+  EXPECT_THROW(deserialize_launcher(hostile::sparse_count_launcher(-1)), RuntimeError);
+  EXPECT_THROW(deserialize_launcher(hostile::sparse_count_launcher(int64_t{1} << 40)),
+               RuntimeError);
+  EXPECT_EQ(deserialize_launcher(hostile::sparse_count_launcher(2)).domain.volume(), 2);
 }
 
 }  // namespace

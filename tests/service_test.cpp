@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/task_registry.hpp"
+#include "hostile_descriptors.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/client.hpp"
@@ -244,6 +245,56 @@ TEST(ServiceIsolation, ForeignHandlesAreTypedRejects) {
   EXPECT_EQ(v, 0.0);
   owner.goodbye();
   intruder.goodbye();
+}
+
+// --- untrusted launch descriptors -----------------------------------------
+
+TEST(ServiceIsolation, HostileDescriptorsAreTypedRejects) {
+  ServiceRuntime server(local_backend());
+  const uint16_t port = server.listen_tcp();
+
+  // A raw session sends the bytes no ServiceClient would produce: ~100 KB
+  // of nested negations, and a sparse domain claiming -1 points.
+  net::Socket raw = net::Socket::connect_tcp("127.0.0.1", port);
+  net::FrameReader reader;
+  const auto send = [&](Msg type, const std::vector<std::byte>& payload) {
+    const std::vector<std::byte> wire = net::encode_frame(static_cast<uint8_t>(type), payload);
+    raw.write_all(wire.data(), wire.size());
+  };
+  const auto next = [&](Msg want) {
+    net::Frame f;
+    do {
+      while (!reader.poll(f)) {
+        std::byte buf[4096];
+        const std::size_t n = raw.read_some(buf, sizeof(buf));
+        if (n == 0) throw std::runtime_error("server closed the raw session");
+        reader.feed(buf, n);
+      }
+    } while (f.type != static_cast<uint8_t>(want));
+    return f;
+  };
+  send(Msg::kHello, encode_client_hello({}));
+  next(Msg::kWelcome);
+  uint64_t tag = 1;
+  for (const std::vector<std::byte>& body :
+       {hostile::nested_neg_launcher(), hostile::sparse_count_launcher(-1)}) {
+    send(Msg::kLaunch, encode_tagged(tag, body));
+    const LaunchAck ack = decode_launch_ack(next(Msg::kLaunchAck).payload);
+    EXPECT_EQ(ack.tag, tag);
+    EXPECT_EQ(ack.code, Err::kBadMessage) << ack.error;
+    ++tag;
+  }
+
+  // The server survived both, and a second session keeps making progress.
+  ServiceClient other = ServiceClient::connect_tcp("127.0.0.1", port);
+  const ClientRegion r = setup_region(other, 64, 4, 1.0);
+  other.launch_checked(increment_launch(other, r, 4));
+  ASSERT_TRUE(other.fence().ok());
+  const std::vector<std::byte> bytes = other.read_field(r.region, r.f);
+  double v = 0;
+  std::memcpy(&v, bytes.data(), sizeof(double));
+  EXPECT_EQ(v, 2.0);
+  other.goodbye();
 }
 
 // --- fair-share scheduling under contention -------------------------------
