@@ -208,13 +208,17 @@ void DistributedRuntime::ensure_started() {
   // with outcomes broadcast instead of sent up.
   RuntimeConfig rc = config_.runtime;
   const uint32_t nranks = config_.ranks;
-  rc.point_owned = [nranks](uint64_t, const Point& p, const Domain& domain) {
+  rc.point_owned = [this, nranks](uint64_t, const Point& p,
+                                  const Domain& domain) {
+    if (const Route* r = xfers_.issuing()) return r->dest != 0;
     return owner_of(domain, p, nranks) == 0;
   };
   rc.on_task_success = [this](uint64_t seq, uint64_t launch, const Point&,
                               TaskContext& ctx) {
     if (delta_ && ctx.fn == xfer_task_) {
-      send_xfer_data(seq, launch, ctx);
+      const Route r = xfer_route(ctx);
+      if (r.src == 0) send_xfer_data(seq, launch, r, ctx);
+      xfers_.settle(launch);
       return;
     }
     TaskDone td;
@@ -242,6 +246,19 @@ void DistributedRuntime::ensure_started() {
     td.outcome.root = fault.root;
     td.outcome.attempts = fault.attempts;
     td.outcome.message = fault.message;
+    if (const auto ends = xfers_.settle(fault.launch)) {
+      // A failed or poisoned transfer: the notice goes to its destination
+      // only; a bystander driver sends nothing (see TransferBook).
+      if (ends->src != 0) return;
+      td.dest = ends->dest;
+      try {
+        conns_[ends->dest - 1]->send(static_cast<uint8_t>(Msg::kTaskDone),
+                                     encode_task_done(td));
+      } catch (const std::exception&) {
+        // Dead peer; fence() reports the loss.
+      }
+      return;
+    }
     send_task_done(td);
   };
   local_ = std::make_unique<Runtime>(std::move(rc), forest_);
@@ -354,25 +371,46 @@ void DistributedRuntime::send_task_done(const TaskDone& done) {
 
 // --- delta data plane (driver side) ----------------------------------------
 
-void DistributedRuntime::issue_transfer(const Transfer& t, uint32_t dest) {
+void DistributedRuntime::add_transfer(std::vector<Route>& routes,
+                                      const Transfer& t, uint32_t dest) {
+  // Merging moves t's rect up to the earlier route's place in the stream.
+  // Every transfer is read-write on its producer, so that keeps every
+  // dependence edge and poison fate unless a transfer planned in between
+  // touches an overlapping producer: then t starts a route of its own.
+  // Routes of different producers never merge, or one producer's failure
+  // would poison the consumers of another's data.
+  for (auto it = routes.rbegin(); it != routes.rend(); ++it) {
+    if (it->src == t.src && it->dest == dest && it->producer == t.producer &&
+        it->field == t.field) {
+      it->rects.push_back(t.rect);
+      return;
+    }
+    if (forest_->regions_interfere(it->producer, t.producer)) break;
+  }
   Route r;
   r.src = t.src;
   r.dest = dest;
   r.producer = t.producer;
   r.field = t.field;
-  r.version = t.version;
-  r.rect = t.rect;
-  // The launch id the replicated transfer will be assigned — identical on
+  r.rects.push_back(t.rect);
+  routes.push_back(std::move(r));
+}
+
+void DistributedRuntime::issue_routes(std::vector<Route>& routes) {
+  if (routes.empty()) return;
+  // The launch ids the replicated transfers will be assigned, identical on
   // every rank, so receivers assert their streams stayed aligned.
-  r.launch = local_->peek_next_launch_id();
-  // Directive first, on every connection, then the identical local issue:
-  // all ranks observe the transfer at the same place in the launch stream.
-  broadcast(Msg::kRoute, encode_route(r));
-  local_->execute(make_xfer_launcher(xfer_task_, r, config_.ranks));
+  uint64_t launch = local_->peek_next_launch_id();
+  for (Route& r : routes) r.launch = launch++;
+  // Directives first, on every connection, then the identical local issue:
+  // all ranks observe the transfers at the same place in the launch stream.
+  broadcast(Msg::kRoute, encode_routes(routes));
+  xfers_.issue(*local_, xfer_task_, routes, config_.ranks);
 }
 
 void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
-                                         const std::vector<RegionArg>& args) {
+                                         const std::vector<RegionArg>& args,
+                                         std::vector<Route>& routes) {
   const uint32_t owner = owner_of(domain, p, config_.ranks);
   // Reads first: every transfer the consumer depends on must enter the
   // stream (kRoute + replicated issue) before the consumer itself.
@@ -384,7 +422,7 @@ void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
     for (FieldId f : ra.fields) {
       transfers.clear();
       vmap_->plan_read(info.root, f, bounds, owner, transfers);
-      for (const Transfer& t : transfers) issue_transfer(t, owner);
+      for (const Transfer& t : transfers) add_transfer(routes, t, owner);
     }
   }
   // Writes. A sparse write footprint makes the owner broadcast the whole
@@ -417,7 +455,8 @@ void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
   }
 }
 
-void DistributedRuntime::plan_index_launch(const IndexLauncher& launcher) {
+void DistributedRuntime::plan_index_launch(const IndexLauncher& launcher,
+                                           std::vector<Route>& routes) {
   // Planning runs before the launch is broadcast, so any subregion the plan
   // is first to touch gets its RegionId here, on the driver only. Force the
   // same argument-major table order Runtime::execute_index uses, or the
@@ -432,51 +471,26 @@ void DistributedRuntime::plan_index_launch(const IndexLauncher& launcher) {
       args.push_back(RegionArg{
           forest_->subregion(pa.parent, pa.partition, pa.functor(p)),
           pa.fields, pa.privilege, pa.redop});
-    plan_point_task(launcher.domain, p, args);
+    plan_point_task(launcher.domain, p, args, routes);
   });
 }
 
 void DistributedRuntime::send_xfer_data(uint64_t seq, uint64_t launch,
-                                        TaskContext& ctx) {
-  const XferArgs xa = ctx.arg<XferArgs>();
-  IDXL_REQUIRE(xa.dest >= 1 && xa.dest <= conns_.size(),
+                                        const Route& r, TaskContext& ctx) {
+  IDXL_REQUIRE(r.dest >= 1 && r.dest <= conns_.size(),
                "driver transfer task routed to an invalid destination");
-  RegionData rd;
-  rd.seq = seq;
-  rd.dest = xa.dest;
-  rd.sent_ns = steady_now_ns();
-  rd.ctx = obs::TraceContext{launch, seq, 0};
-  RegionPatch patch;
-  patch.arg = 0;
-  patch.field = xa.field;
-  patch.rect = xa.rect;
-  ctx.region(0).copy_out_rect(xa.field, xa.rect, patch.bytes);
-  const uint64_t nbytes = patch.bytes.size();
-  rd.patches.push_back(std::move(patch));
+  const RegionData rd =
+      make_region_data(seq, obs::TraceContext{launch, seq, 0}, r, ctx);
+  uint64_t nbytes = 0;
+  for (const RegionPatch& p : rd.patches) nbytes += p.bytes.size();
   try {
-    conns_[xa.dest - 1]->send(static_cast<uint8_t>(Msg::kRegionData),
-                              encode_region_data(rd));
+    conns_[r.dest - 1]->send(static_cast<uint8_t>(Msg::kRegionData),
+                             encode_region_data(rd));
     net_.bytes_relay.fetch_add(nbytes, std::memory_order_relaxed);
     net_.transfers.fetch_add(1, std::memory_order_relaxed);
     m_xfer_size_.observe(nbytes);
   } catch (const std::exception&) {
     // Dead peer; fence() reports the loss.
-  }
-  // Slim completion for every rank except the destination, whose copy of
-  // this outcome is the kRegionData payload above (FIFO on its connection).
-  TaskDone td;
-  td.seq = seq;
-  td.data_dest = xa.dest;
-  td.ctx = obs::TraceContext{launch, seq, 0};
-  td.outcome.ret = ctx.return_value;
-  td.outcome.has_data = false;
-  const std::vector<std::byte> payload = encode_task_done(td);
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (i + 1 == xa.dest) continue;
-    try {
-      conns_[i]->send(static_cast<uint8_t>(Msg::kTaskDone), payload);
-    } catch (const std::exception&) {
-    }
   }
 }
 
@@ -493,67 +507,70 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
     case Msg::kTaskDone: {
       // Star topology: relay the owner's outcome to the other workers
       // *before* completing locally, so on every per-connection FIFO all
-      // outcomes a fence depends on precede the fence frame itself. The
-      // rank named by data_dest is excluded — its copy of the outcome is a
-      // kRegionData payload travelling a direct link or the relay below.
+      // outcomes a fence depends on precede the fence frame itself. An
+      // outcome addressed to one rank (a transfer's fault notice) goes to
+      // that rank only.
       TaskDone td = decode_task_done(frame.payload);
-      const std::size_t skip =
-          (td.data_dest != TaskDone::kNoDest && td.data_dest != 0)
-              ? static_cast<std::size_t>(td.data_dest - 1)
-              : SIZE_MAX;
-      std::size_t relays = 0;
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        if (i == worker || i == skip) continue;
+      if (td.dest != TaskDone::kNoDest && td.dest != 0) {
+        IDXL_REQUIRE(td.dest <= conns_.size() && td.dest != worker + 1,
+                     "task-done frame addressed to an invalid rank");
         try {
-          conns_[i]->send(frame.type, frame.payload);
-          ++relays;
+          conns_[td.dest - 1]->send(frame.type, frame.payload);
         } catch (const std::exception&) {
         }
+        break;
       }
-      if (!td.outcome.region_bytes.empty())
-        net_.bytes_hub.fetch_add(td.outcome.region_bytes.size() * relays,
-                                 std::memory_order_relaxed);
-      // data_dest == 0: the driver itself was the destination; adopt the
-      // patches stashed by the kRegionData frame that preceded this one on
-      // the same FIFO. Completing here — not at kRegionData time — keeps
-      // the driver's wait_all() blocked until this handler ran, so the
-      // relays above are on every connection before any fence frame. (If
-      // wait_all() could pass on the kRegionData alone, a fence could
-      // overtake this relay and strand the other workers' externals behind
-      // their own fence handler.)
-      if (td.data_dest == 0) {
-        std::lock_guard<std::mutex> lock(xdata_mu_);
-        auto it = driver_patches_.find(td.seq);
-        IDXL_REQUIRE(it != driver_patches_.end(),
-                     "transfer outcome arrived without its data payload");
-        td.outcome.patches = std::move(it->second);
-        driver_patches_.erase(it);
+      if (td.dest == TaskDone::kNoDest) {
+        std::size_t relays = 0;
+        for (std::size_t i = 0; i < conns_.size(); ++i) {
+          if (i == worker) continue;
+          try {
+            conns_[i]->send(frame.type, frame.payload);
+            ++relays;
+          } catch (const std::exception&) {
+          }
+        }
+        if (!td.outcome.region_bytes.empty())
+          net_.bytes_hub.fetch_add(td.outcome.region_bytes.size() * relays,
+                                   std::memory_order_relaxed);
       }
       const uint64_t span_start = local_->profiler().now_ns();
       const uint64_t seq = td.seq;
-      const bool adopted = td.data_dest == 0;
       const obs::TraceContext ctx = td.ctx;
       local_->complete_external(seq, std::move(td.outcome));
-      record_apply_span(adopted ? name_xfer_apply_ : name_done_apply_, seq,
-                        ctx, span_start);
+      record_apply_span(name_done_apply_, seq, ctx, span_start);
       break;
     }
     case Msg::kRegionData: {
       RegionData rd = decode_region_data(frame.payload);
       if (rd.dest == 0) {
-        // Terminates here — but the node completes at the sender's slim
-        // kTaskDone, the next frame on this FIFO (see there for why). Only
-        // stash the payload.
+        // A transfer to the driver (a sync_for_read recall) completes as
+        // its payload lands.
         const uint64_t now = steady_now_ns();
         if (rd.sent_ns != 0 && now >= rd.sent_ns)
           m_xfer_latency_.observe(now - rd.sent_ns);
-        std::lock_guard<std::mutex> lock(xdata_mu_);
-        driver_patches_[rd.seq] = std::move(rd.patches);
+        const uint64_t span_start = local_->profiler().now_ns();
+        RemoteOutcome o;
+        o.has_data = false;
+        o.patches = std::move(rd.patches);
+        local_->complete_external(rd.seq, std::move(o));
+        record_apply_span(name_xfer_apply_, rd.seq, rd.ctx, span_start);
         break;
       }
       // Relay leg of the fallback ladder: forward verbatim to the
       // destination. The second wire hop is counted — route labels measure
       // bytes on wires, not logical transfers.
+      //
+      // Fence invariant. The driver's own copy of this transfer completed
+      // locally, so its wait_all() does not wait for this relay. A fence
+      // frame overtaking the payload on dest's connection would deadlock
+      // dest, whose receive thread waits inside the fence for this very
+      // transfer. It cannot: every transfer is planned for a consumer on
+      // dest that depends on it, and the driver's fence waits for that
+      // consumer's task-done. Dest sends that only after the payload was
+      // applied, so the relay below precedes the fence frame on dest's
+      // connection. (Transfers to the driver have no such consumer; the
+      // driver's own wait_all() waits for them instead.)
       IDXL_REQUIRE(rd.dest <= conns_.size(),
                    "region-data frame routed to an invalid destination");
       uint64_t nbytes = 0;
@@ -668,7 +685,7 @@ void DistributedRuntime::publish_net_metrics_locked() {
   metrics_emitted_ = t;
 }
 
-bool DistributedRuntime::fence(bool nothrow) {
+bool DistributedRuntime::fence(bool nothrow, bool want_metrics) {
   local_->wait_all();
   const std::size_t nworkers = conns_.size();
   if (nworkers == 0) return true;
@@ -677,7 +694,7 @@ bool DistributedRuntime::fence(bool nothrow) {
     std::lock_guard<std::mutex> lock(fence_mu_);
     id = ++next_fence_;
   }
-  broadcast(Msg::kFence, encode_fence(id));
+  broadcast(Msg::kFence, encode_fence(Fence{id, want_metrics}));
   std::map<std::size_t, FenceAck> acks;
   std::string problem;
   {
@@ -693,8 +710,8 @@ bool DistributedRuntime::fence(bool nothrow) {
     acks = std::move(fence_acks_[id]);
     fence_acks_.erase(id);
     // Fold each worker's cumulative data-plane counters in, then publish
-    // run-wide totals to the idxl_net_* series. The piggybacked metrics
-    // snapshot refreshes the per-rank cluster view.
+    // run-wide totals to the idxl_net_* series. A metrics snapshot, when
+    // asked for, refreshes the per-rank cluster view.
     for (const auto& [worker, ack] : acks) {
       worker_net_[worker] = ack.net;
       if (!ack.metrics.empty())
@@ -732,10 +749,13 @@ LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   // Serialize first: an unserializable launcher must throw before any
   // rank sees a frame, or the replicated streams diverge.
   (void)serialize_task_launcher(launcher);
-  // Plan before the consumer's frame goes out: its kRoute directives must
+  // Plan before the consumer's frame goes out: its kRoute frame must
   // precede it on every connection so all replicated streams agree.
+  std::vector<Route> routes;
   if (delta_ && !launcher.internal)
-    plan_point_task(launcher.launch_domain, launcher.point, launcher.args);
+    plan_point_task(launcher.launch_domain, launcher.point, launcher.args,
+                    routes);
+  issue_routes(routes);
   // Stamp the trace context after planning — the plan's transfer issues
   // consume launch ids, so only now is the next id this descriptor's.
   TaskLauncher annotated = launcher;
@@ -751,7 +771,9 @@ LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   // Validate serializability before any rank (rank 0 included) observes the
   // launch: a throw here must leave every replicated stream untouched.
   (void)serialize_launcher(launcher);
-  if (delta_) plan_index_launch(launcher);
+  std::vector<Route> routes;
+  if (delta_) plan_index_launch(launcher, routes);
+  issue_routes(routes);
   // Issue on the driver first — rank 0's analysis populates the certificate
   // cache with this launch's pair verdicts — then ship the cache as a bundle
   // on the descriptor, so import-only workers validate the certificates
@@ -778,18 +800,20 @@ void DistributedRuntime::sync_for_read() {
     // Recall: route every span some worker produced back to rank 0 so a
     // direct read of the forest sees current data. Spans already current
     // here ship nothing.
+    std::vector<Route> routes;
+    std::vector<Transfer> transfers;
     for (uint32_t i = 0; i < forest_->region_count(); ++i) {
       const RegionId r{i};
       const RegionInfo& info = forest_->region(r);
       if (info.root != info.handle) continue;
       const Rect bounds = forest_->storage_bounds(r);
-      std::vector<Transfer> transfers;
       for (const FieldInfo& fi : forest_->fields(info.fspace)) {
         transfers.clear();
         vmap_->plan_read(r, fi.id, bounds, /*dest=*/0, transfers);
-        for (const Transfer& t : transfers) issue_transfer(t, /*dest=*/0);
+        for (const Transfer& t : transfers) add_transfer(routes, t, /*dest=*/0);
       }
     }
+    issue_routes(routes);
   }
   wait_all();
 }
@@ -814,8 +838,9 @@ DataPlaneStats DistributedRuntime::data_plane_stats() {
 
 obs::MetricsSnapshot DistributedRuntime::cluster_metrics() {
   ensure_started();
-  // A fence refreshes every worker's snapshot via its ack.
-  if (local_ != nullptr && !conns_.empty()) fence(/*nothrow=*/true);
+  // The only fence that asks for every worker's snapshot.
+  if (local_ != nullptr && !conns_.empty())
+    fence(/*nothrow=*/true, /*want_metrics=*/true);
   std::vector<std::pair<uint32_t, obs::MetricsSnapshot>> ranks;
   ranks.emplace_back(0, local_->metrics().snapshot());
   {

@@ -6,13 +6,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/clock.hpp"
 #include "net/connection.hpp"
 #include "dist/protocol.hpp"
 #include "dist/version_map.hpp"
+#include "dist/worker.hpp"
 #include "obs/trace_merge.hpp"
 #include "runtime/runtime.hpp"
 
@@ -163,8 +163,9 @@ class DistributedRuntime : public RuntimeApi {
   void broadcast(Msg type, const std::vector<std::byte>& payload);
   void send_task_done(const TaskDone& done);
   /// Fence all ranks; returns false (instead of throwing) on peer loss or
-  /// report divergence when `nothrow` — the destructor path.
-  bool fence(bool nothrow);
+  /// report divergence when `nothrow` — the destructor path. Workers attach
+  /// their metrics snapshots only when `want_metrics` (cluster_metrics).
+  bool fence(bool nothrow, bool want_metrics = false);
   void shutdown();
   std::vector<std::byte> setup_bytes() const;
   std::string fault_plan_spec() const;
@@ -172,15 +173,24 @@ class DistributedRuntime : public RuntimeApi {
 
   // --- delta data plane (driver side) ---
   /// Update the coherence map for one point task about to be issued: plan
-  /// the transfers its reads need (broadcasting kRoute + issuing the local
-  /// transfer task for each) and record its writes.
+  /// the transfers its reads need into `routes` and record its writes.
   void plan_point_task(const Domain& domain, const Point& p,
-                       const std::vector<RegionArg>& args);
-  void plan_index_launch(const IndexLauncher& launcher);
-  void issue_transfer(const Transfer& t, uint32_t dest);
-  /// on_task_success arm for the driver-owned transfer task: extract the
-  /// rect, ship it to the destination, announce a slim outcome.
-  void send_xfer_data(uint64_t seq, uint64_t launch, TaskContext& ctx);
+                       const std::vector<RegionArg>& args,
+                       std::vector<Route>& routes);
+  void plan_index_launch(const IndexLauncher& launcher,
+                         std::vector<Route>& routes);
+  /// Add transfer `t` to `dest` to a plan, merged into the plan's route
+  /// from the same producer between the same ranks when no route planned
+  /// since names an overlapping producer.
+  void add_transfer(std::vector<Route>& routes, const Transfer& t,
+                    uint32_t dest);
+  /// Send a plan's routes to every worker in one kRoute frame, then issue
+  /// the same transfers locally. No-op for an empty plan.
+  void issue_routes(std::vector<Route>& routes);
+  /// on_task_success arm for a transfer the driver is the source of: ship
+  /// its rects to the destination.
+  void send_xfer_data(uint64_t seq, uint64_t launch, const Route& r,
+                      TaskContext& ctx);
   /// Record the receiving half of a remote span pair on the local profiler.
   void record_apply_span(uint32_t name, uint64_t seq,
                          const obs::TraceContext& ctx, uint64_t start_ns);
@@ -207,6 +217,7 @@ class DistributedRuntime : public RuntimeApi {
   /// Driver-only coherence map; every plan_* call runs on the issuing
   /// thread, so the map needs no lock.
   std::unique_ptr<VersionMap> vmap_;
+  TransferBook xfers_{0};
   /// The driver's own data-plane sends (task workers + recv threads write).
   struct NetCells {
     std::atomic<uint64_t> bytes_hub{0};
@@ -216,11 +227,6 @@ class DistributedRuntime : public RuntimeApi {
   } net_;
   obs::Counter m_bytes_hub_, m_bytes_relay_, m_bytes_p2p_, m_transfers_;
   obs::Histogram m_xfer_size_, m_xfer_latency_;
-
-  /// Driver-bound transfer payloads (kRegionData, dest 0) parked until the
-  /// sender's slim kTaskDone completes the node (see on_worker_frame).
-  std::mutex xdata_mu_;
-  std::unordered_map<uint64_t, std::vector<RegionPatch>> driver_patches_;
 
   std::mutex fence_mu_;
   std::condition_variable fence_cv_;

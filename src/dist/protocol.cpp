@@ -92,6 +92,61 @@ obs::TraceContext get_trace_ctx(Deserializer& d) {
   return ctx;
 }
 
+// Smallest encodings of the repeated elements below. A point is a
+// dimension byte and at least one coordinate.
+constexpr std::size_t kPointMin = 1 + 8;
+constexpr std::size_t kRectMin = 2 * kPointMin;
+constexpr std::size_t kDomainMin = 1 + 8;  // sparse flag + point count
+constexpr std::size_t kStringMin = 4;
+constexpr std::size_t kSetupOpMin =
+    1 + kDomainMin + 4 + 4 + kStringMin + kRectMin + 4 + 1 + kPointMin;
+constexpr std::size_t kStorageMin = 4 + 4 + 4;
+constexpr std::size_t kRouteMin = 4 * 4 + 4 + kRectMin + 8;
+constexpr std::size_t kPatchMin = 4 + 4 + kRectMin + 4;
+constexpr std::size_t kFamilyMin = kStringMin + kStringMin + 1 + 4;
+constexpr std::size_t kSeriesMin = 4 + 4 * 8 + 4;
+constexpr std::size_t kLabelMin = 2 * kStringMin;
+constexpr std::size_t kBucketMin = 8 + 8;
+constexpr std::size_t kSpanBytes = 4 + 1 + 8 + 4 + 8 * 6 + 4;
+constexpr std::size_t kSampleMin = 8 + 8 + 4;
+constexpr std::size_t kFlightEventBytes =
+    8 * 4 + 8 * obs::FlightEvent::kMaxPointDim + 3 + 8;
+constexpr std::size_t kBlockedMin = 8 + 8 + kStringMin + 4;
+
+/// Read a u32 element count and check it against the bytes left: each
+/// element takes at least `min_bytes`, so a larger count is corrupt. Runs
+/// before any reserve, so a hostile count cannot allocate.
+uint32_t get_count(Deserializer& d, std::size_t min_bytes, const char* what) {
+  const uint32_t n = d.get_u32();
+  IDXL_REQUIRE(n <= d.remaining() / min_bytes,
+               std::string("corrupt ") + what + " count in message");
+  return n;
+}
+
+void put_route(Serializer& s, const Route& r) {
+  s.put_u32(r.src);
+  s.put_u32(r.dest);
+  s.put_u32(r.producer.id);
+  s.put_u32(r.field);
+  s.put_u32(static_cast<uint32_t>(r.rects.size()));
+  for (const Rect& rect : r.rects) put_rect(s, rect);
+  s.put_u64(r.launch);
+}
+
+Route get_route(Deserializer& d) {
+  Route r;
+  r.src = d.get_u32();
+  r.dest = d.get_u32();
+  r.producer.id = d.get_u32();
+  r.field = d.get_u32();
+  const uint32_t nrects = get_count(d, kRectMin, "route rect");
+  IDXL_REQUIRE(nrects > 0, "route carries no rects");
+  r.rects.reserve(nrects);
+  for (uint32_t i = 0; i < nrects; ++i) r.rects.push_back(get_rect(d));
+  r.launch = d.get_u64();
+  return r;
+}
+
 }  // namespace
 
 std::vector<std::byte> encode_setup(const Setup& su) {
@@ -125,7 +180,7 @@ Setup decode_setup(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("setup message");
   Setup su;
-  const uint32_t nops = d.get_u32();
+  const uint32_t nops = get_count(d, kSetupOpMin, "setup journal");
   su.journal.reserve(nops);
   for (uint32_t i = 0; i < nops; ++i) {
     SetupOp op;
@@ -135,7 +190,7 @@ Setup decode_setup(const std::vector<std::byte>& bytes) {
     op.b = d.get_u32();
     op.name = d.get_string();
     op.color_space = get_rect(d);
-    const uint32_t nsub = d.get_u32();
+    const uint32_t nsub = get_count(d, kDomainMin, "setup subspace");
     op.subspaces.reserve(nsub);
     for (uint32_t j = 0; j < nsub; ++j)
       op.subspaces.push_back(deserialize_domain(d));
@@ -143,10 +198,10 @@ Setup decode_setup(const std::vector<std::byte>& bytes) {
     op.color = d.get_point();
     su.journal.push_back(std::move(op));
   }
-  const uint32_t ntasks = d.get_u32();
+  const uint32_t ntasks = get_count(d, kStringMin, "setup task");
   su.tasks.reserve(ntasks);
   for (uint32_t i = 0; i < ntasks; ++i) su.tasks.push_back(d.get_string());
-  const uint32_t nstore = d.get_u32();
+  const uint32_t nstore = get_count(d, kStorageMin, "setup storage");
   su.storage.reserve(nstore);
   for (uint32_t i = 0; i < nstore; ++i) {
     Setup::Storage st;
@@ -163,7 +218,7 @@ std::vector<std::byte> encode_task_done(const TaskDone& t) {
   Serializer s;
   s.put_header();
   s.put_u64(t.seq);
-  s.put_u32(t.data_dest);
+  s.put_u32(t.dest);
   put_trace_ctx(s, t.ctx);
   s.put_u8(static_cast<uint8_t>(t.outcome.kind));
   s.put_u64(t.outcome.root);
@@ -180,7 +235,7 @@ TaskDone decode_task_done(const std::vector<std::byte>& bytes) {
   d.check_header("task-done message");
   TaskDone t;
   t.seq = d.get_u64();
-  t.data_dest = d.get_u32();
+  t.dest = d.get_u32();
   t.ctx = get_trace_ctx(d);
   t.outcome.kind = static_cast<FaultKind>(d.get_u8());
   t.outcome.root = d.get_u64();
@@ -193,47 +248,39 @@ TaskDone decode_task_done(const std::vector<std::byte>& bytes) {
   return t;
 }
 
-std::vector<std::byte> encode_route(const Route& r) {
+std::vector<std::byte> encode_routes(const std::vector<Route>& routes) {
   Serializer s;
   s.put_header();
-  s.put_u32(r.src);
-  s.put_u32(r.dest);
-  s.put_u32(r.producer.id);
-  s.put_u32(r.field);
-  s.put_u64(r.version);
-  put_rect(s, r.rect);
-  s.put_u64(r.launch);
+  s.put_u32(static_cast<uint32_t>(routes.size()));
+  for (const Route& r : routes) put_route(s, r);
   return s.take();
 }
 
-Route decode_route(const std::vector<std::byte>& bytes) {
+std::vector<Route> decode_routes(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("route message");
-  Route r;
-  r.src = d.get_u32();
-  r.dest = d.get_u32();
-  r.producer.id = d.get_u32();
-  r.field = d.get_u32();
-  r.version = d.get_u64();
-  r.rect = get_rect(d);
-  r.launch = d.get_u64();
+  const uint32_t n = get_count(d, kRouteMin, "route");
+  IDXL_REQUIRE(n > 0, "route message carries no routes");
+  std::vector<Route> routes;
+  routes.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) routes.push_back(get_route(d));
   IDXL_REQUIRE(d.done(), "trailing bytes after route message");
-  return r;
+  return routes;
 }
 
 TaskLauncher make_xfer_launcher(TaskFnId task, const Route& r, uint32_t nranks) {
-  XferArgs args;
-  args.field = r.field;
-  args.dest = r.dest;
-  args.version = r.version;
-  args.rect = r.rect;
-  // owner_of(line(n), p1(src), n) == src: the launch-domain trick that pins
-  // the no-op body (and its on_task_success data push) to the source rank.
+  Serializer args;
+  put_route(args, r);
   return TaskLauncher::for_task(task)
       .region(r.producer, {r.field}, Privilege::kReadWrite)
-      .scalars(ArgBuffer::of(args))
+      .scalars(ArgBuffer::from_bytes(args.take()))
       .at(Point::p1(r.src), Domain::line(static_cast<int64_t>(nranks)))
       .as_internal();
+}
+
+Route xfer_route(const TaskContext& ctx) {
+  Deserializer d(ctx.scalar_args->raw());
+  return get_route(d);
 }
 
 std::vector<std::byte> encode_region_data(const RegionData& r) {
@@ -253,6 +300,24 @@ std::vector<std::byte> encode_region_data(const RegionData& r) {
   return s.take();
 }
 
+RegionData make_region_data(uint64_t seq, const obs::TraceContext& ctx,
+                            const Route& r, TaskContext& task) {
+  RegionData rd;
+  rd.seq = seq;
+  rd.dest = r.dest;
+  rd.sent_ns = steady_now_ns();
+  rd.ctx = ctx;
+  rd.patches.resize(r.rects.size());
+  for (std::size_t i = 0; i < r.rects.size(); ++i) {
+    RegionPatch& patch = rd.patches[i];
+    patch.arg = 0;
+    patch.field = r.field;
+    patch.rect = r.rects[i];
+    task.region(0).copy_out_rect(r.field, r.rects[i], patch.bytes);
+  }
+  return rd;
+}
+
 RegionData decode_region_data(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("region-data message");
@@ -261,7 +326,7 @@ RegionData decode_region_data(const std::vector<std::byte>& bytes) {
   r.dest = d.get_u32();
   r.sent_ns = d.get_u64();
   r.ctx = get_trace_ctx(d);
-  const uint32_t n = d.get_u32();
+  const uint32_t n = get_count(d, kPatchMin, "region-data patch");
   r.patches.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     RegionPatch p;
@@ -275,17 +340,22 @@ RegionData decode_region_data(const std::vector<std::byte>& bytes) {
   return r;
 }
 
-std::vector<std::byte> encode_fence(uint64_t fence) {
+std::vector<std::byte> encode_fence(const Fence& f) {
   Serializer s;
   s.put_header();
-  s.put_u64(fence);
+  s.put_u64(f.id);
+  s.put_u8(f.want_metrics ? 1 : 0);
   return s.take();
 }
 
-uint64_t decode_fence(const std::vector<std::byte>& bytes) {
+Fence decode_fence(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("fence message");
-  return d.get_u64();
+  Fence f;
+  f.id = d.get_u64();
+  f.want_metrics = d.get_u8() != 0;
+  IDXL_REQUIRE(d.done(), "trailing bytes after fence message");
+  return f;
 }
 
 std::vector<std::byte> encode_fence_ack(const FenceAck& a) {
@@ -350,18 +420,18 @@ obs::MetricsSnapshot deserialize_metrics_snapshot(
   Deserializer d(bytes);
   obs::MetricsSnapshot m;
   m.taken_ns = d.get_u64();
-  const uint32_t nfamilies = d.get_u32();
+  const uint32_t nfamilies = get_count(d, kFamilyMin, "metric family");
   m.families.reserve(nfamilies);
   for (uint32_t i = 0; i < nfamilies; ++i) {
     obs::FamilySnapshot f;
     f.name = d.get_string();
     f.help = d.get_string();
     f.kind = static_cast<obs::MetricKind>(d.get_u8());
-    const uint32_t nseries = d.get_u32();
+    const uint32_t nseries = get_count(d, kSeriesMin, "metric series");
     f.series.reserve(nseries);
     for (uint32_t j = 0; j < nseries; ++j) {
       obs::SeriesSnapshot series;
-      const uint32_t nlabels = d.get_u32();
+      const uint32_t nlabels = get_count(d, kLabelMin, "metric label");
       series.labels.reserve(nlabels);
       for (uint32_t k = 0; k < nlabels; ++k) {
         std::string key = d.get_string();
@@ -371,7 +441,7 @@ obs::MetricsSnapshot deserialize_metrics_snapshot(
       series.gauge = d.get_i64();
       series.count = d.get_u64();
       series.sum = d.get_u64();
-      const uint32_t nbuckets = d.get_u32();
+      const uint32_t nbuckets = get_count(d, kBucketMin, "histogram bucket");
       series.buckets.reserve(nbuckets);
       for (uint32_t b = 0; b < nbuckets; ++b) {
         const uint64_t le = d.get_u64();
@@ -451,10 +521,10 @@ Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
   t.rank = d.get_u32();
   t.flavor = d.get_u8();
   t.epoch_ns = d.get_u64();
-  const uint32_t nnames = d.get_u32();
+  const uint32_t nnames = get_count(d, kStringMin, "telemetry name");
   t.names.reserve(nnames);
   for (uint32_t i = 0; i < nnames; ++i) t.names.push_back(d.get_string());
-  const uint32_t nspans = d.get_u32();
+  const uint32_t nspans = get_count(d, kSpanBytes, "telemetry span");
   t.spans.reserve(nspans);
   for (uint32_t i = 0; i < nspans; ++i) {
     ProfileEvent ev;
@@ -471,18 +541,18 @@ Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
     ev.origin = d.get_u32();
     t.spans.push_back(ev);
   }
-  const uint32_t nsamples = d.get_u32();
+  const uint32_t nsamples = get_count(d, kSampleMin, "telemetry sample");
   t.samples.reserve(nsamples);
   for (uint32_t i = 0; i < nsamples; ++i) {
     TaskSample sample;
     sample.seq = d.get_u64();
     sample.dur_ns = d.get_u64();
-    const uint32_t ndeps = d.get_u32();
+    const uint32_t ndeps = get_count(d, 8, "telemetry sample dependence");
     sample.deps.reserve(ndeps);
     for (uint32_t j = 0; j < ndeps; ++j) sample.deps.push_back(d.get_u64());
     t.samples.push_back(std::move(sample));
   }
-  const uint32_t nrecent = d.get_u32();
+  const uint32_t nrecent = get_count(d, kFlightEventBytes, "telemetry event");
   t.recent.reserve(nrecent);
   for (uint32_t i = 0; i < nrecent; ++i) {
     obs::FlightEvent ev;
@@ -502,19 +572,19 @@ Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
   t.completed = d.get_u64();
   t.pending = d.get_u64();
   t.window_ms = d.get_u64();
-  const uint32_t nblocked = d.get_u32();
+  const uint32_t nblocked = get_count(d, kBlockedMin, "telemetry blocked task");
   t.blocked.reserve(nblocked);
   for (uint32_t i = 0; i < nblocked; ++i) {
     obs::BlockedTask b;
     b.seq = d.get_u64();
     b.launch = d.get_u64();
     b.label = d.get_string();
-    const uint32_t ndeps = d.get_u32();
+    const uint32_t ndeps = get_count(d, 8, "telemetry waits-for");
     b.waits_for.reserve(ndeps);
     for (uint32_t j = 0; j < ndeps; ++j) b.waits_for.push_back(d.get_u64());
     t.blocked.push_back(std::move(b));
   }
-  const uint32_t nexternals = d.get_u32();
+  const uint32_t nexternals = get_count(d, 8, "telemetry external");
   t.pending_externals.reserve(nexternals);
   for (uint32_t i = 0; i < nexternals; ++i)
     t.pending_externals.push_back(d.get_u64());

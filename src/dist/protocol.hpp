@@ -47,7 +47,7 @@ enum class Msg : uint8_t {
   kShutdown,    ///< driver -> worker: drain and exit
   kBye,         ///< worker -> driver: teardown complete
   kPing,          ///< heartbeat + clock probe, either direction (net/clock.hpp)
-  kRoute,         ///< driver -> worker: delta-transfer directive (v3)
+  kRoute,         ///< driver -> worker: a launch's transfer directives (v5)
   kRegionData,    ///< src rank -> dest rank, direct or driver-relayed (v3)
   kTelemetryReq,  ///< driver -> worker: ship your trace + metrics (v4)
   kTelemetry,     ///< worker -> driver: spans, recorder tail, metrics (v4)
@@ -92,18 +92,19 @@ Setup decode_setup(const std::vector<std::byte>& bytes);
 
 /// Terminal outcome of one owned task, broadcast so every other rank can
 /// complete its external placeholder node. In star-hub mode success carries
-/// the full written-region bytes (copy_out order); in delta mode most
-/// outcomes are slim (has_data = false) and the bytes travel separately as
-/// kRegionData to the one rank that needs them (`data_dest`). Faults carry
-/// the fault fields and no bytes.
+/// the full written-region bytes (copy_out order); in delta mode outcomes
+/// are slim (has_data = false) and the bytes travel as kRegionData to the
+/// one rank that reads them. Faults carry the fault fields and no bytes.
+/// A transfer task sends no TaskDone on success; its fault notice is
+/// addressed to the transfer's destination alone (`dest`).
 struct TaskDone {
-  /// data_dest value meaning "no separate data message for this outcome".
+  /// dest value meaning "every other rank".
   static constexpr uint32_t kNoDest = UINT32_MAX;
 
   uint64_t seq = 0;
-  /// Rank receiving this task's bytes via kRegionData (transfer tasks
-  /// only); the driver excludes it from the TaskDone relay.
-  uint32_t data_dest = kNoDest;
+  /// The one rank this outcome is for (a transfer's fault notice), or
+  /// kNoDest. The driver forwards an addressed outcome to that rank only.
+  uint32_t dest = kNoDest;
   /// Causal parent of the external completion: the executing rank and the
   /// task's launch id there (span = seq; replication makes it global).
   obs::TraceContext ctx;
@@ -112,38 +113,34 @@ struct TaskDone {
 std::vector<std::byte> encode_task_done(const TaskDone& t);
 TaskDone decode_task_done(const std::vector<std::byte>& bytes);
 
-/// Scalar argument of the replicated no-op transfer task ("idxl_xfer").
-/// Must stay trivially copyable: it ships inside the launcher's ArgBuffer.
-struct XferArgs {
-  FieldId field = 0;
-  uint32_t dest = 0;
-  uint64_t version = 0;
-  Rect rect;
-};
-
-/// Routing directive (wire v3): every rank must issue the same replicated
-/// transfer task, pinned to `src`, pushing `rect` x `field` of the root
-/// behind `producer` to `dest`. Payload-free — the bytes move as
-/// kRegionData from src directly (or via driver relay on peer-link loss).
+/// Routing directive: every rank issues the same replicated transfer task,
+/// pinned to `src`, pushing `rects` x `field` of the root behind `producer`
+/// to `dest`. Payload-free: the bytes move as kRegionData from src directly
+/// (or via driver relay on peer-link loss). One route carries every rect a
+/// plan ships from one producer between the same pair of ranks.
 struct Route {
   uint32_t src = 0;
   uint32_t dest = 0;
   RegionId producer;  ///< subregion argument of the transfer task
   FieldId field = 0;
-  uint64_t version = 0;
-  Rect rect;
-  /// Launch id the replicated transfer task will be assigned — identical
-  /// on every rank by control replication, so receivers assert equality
-  /// (a mismatch means the launch streams diverged) and spans correlate.
+  std::vector<Rect> rects;  ///< never empty; one kRegionData patch each
+  /// Launch id the replicated transfer task will be assigned: identical on
+  /// every rank by control replication, so receivers assert equality (a
+  /// mismatch means the launch streams diverged) and spans correlate.
   uint64_t launch = UINT64_MAX;
 };
-std::vector<std::byte> encode_route(const Route& r);
-Route decode_route(const std::vector<std::byte>& bytes);
+/// A kRoute frame: every route one launch plans, in issue order (wire v5).
+/// Decoding rejects an empty list, an empty rect list, and any count the
+/// remaining bytes cannot hold.
+std::vector<std::byte> encode_routes(const std::vector<Route>& routes);
+std::vector<Route> decode_routes(const std::vector<std::byte>& bytes);
 
-/// The launcher every rank builds from a Route — identical by construction,
-/// so seq numbers and launch ids stay replicated. `.at(p1(src), line(n))`
-/// pins execution to rank src under owner_of.
+/// The launcher every rank builds from a Route: identical by construction,
+/// so seq numbers and launch ids stay replicated. The route rides in the
+/// scalar arguments (xfer_route reads it back on the source rank), and the
+/// point `p1(src)` names the source in labels and fault identities.
 TaskLauncher make_xfer_launcher(TaskFnId task, const Route& r, uint32_t nranks);
+Route xfer_route(const TaskContext& ctx);
 
 /// Delta payload: the patches completing external node `seq` on rank
 /// `dest`. Travels src -> dest on a direct worker link when one is up,
@@ -158,6 +155,10 @@ struct RegionData {
   std::vector<RegionPatch> patches;
 };
 std::vector<std::byte> encode_region_data(const RegionData& r);
+/// What a transfer's source sends: one patch per rect of `r`, copied out of
+/// the transfer task's producer region (`task.region(0)`).
+RegionData make_region_data(uint64_t seq, const obs::TraceContext& ctx,
+                            const Route& r, TaskContext& task);
 RegionData decode_region_data(const std::vector<std::byte>& bytes);
 
 /// Cumulative per-process data-plane byte counters, piggybacked on every
@@ -174,13 +175,18 @@ struct FenceAck {
   uint64_t fence = 0;
   FaultReport report;
   DataPlaneCounters net;
-  /// Serialized MetricsSnapshot of the worker's registry (may be empty):
-  /// fences are rare and snapshots small, so every ack refreshes the
-  /// driver's per-rank metrics view for cluster aggregation.
+  /// Serialized MetricsSnapshot of the worker's registry, present only
+  /// when the fence asked for it (Fence::want_metrics); empty otherwise.
   std::vector<std::byte> metrics;
 };
-std::vector<std::byte> encode_fence(uint64_t fence);
-uint64_t decode_fence(const std::vector<std::byte>& bytes);
+/// A kFence frame. Only cluster_metrics() sets `want_metrics`: a snapshot
+/// is kilobytes of serialization per rank that other fences never read.
+struct Fence {
+  uint64_t id = 0;
+  bool want_metrics = false;
+};
+std::vector<std::byte> encode_fence(const Fence& f);
+Fence decode_fence(const std::vector<std::byte>& bytes);
 std::vector<std::byte> encode_fence_ack(const FenceAck& a);
 FenceAck decode_fence_ack(const std::vector<std::byte>& bytes);
 

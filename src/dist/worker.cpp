@@ -8,6 +8,38 @@
 
 namespace idxl::dist {
 
+void TransferBook::issue(Runtime& rt, TaskFnId task,
+                         const std::vector<Route>& routes, uint32_t nranks) {
+  for (const Route& r : routes) {
+    IDXL_REQUIRE(r.launch == rt.peek_next_launch_id(),
+                 "transfer launch id diverged from the routing directive "
+                 "(control replication bug)");
+    IDXL_REQUIRE(r.src != r.dest && r.src < nranks && r.dest < nranks,
+                 "routing directive names an invalid rank");
+    if (r.dest != rank_) {
+      std::lock_guard<std::mutex> lock(mu_);
+      owned_.emplace(r.launch, Ends{r.src, r.dest});
+    }
+    issuing_ = &r;
+    try {
+      rt.execute(make_xfer_launcher(task, r, nranks));
+    } catch (...) {
+      issuing_ = nullptr;
+      throw;
+    }
+    issuing_ = nullptr;
+  }
+}
+
+std::optional<TransferBook::Ends> TransferBook::settle(uint64_t launch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = owned_.find(launch);
+  if (it == owned_.end()) return std::nullopt;
+  const Ends ends = it->second;
+  owned_.erase(it);
+  return ends;
+}
+
 WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
                              RuntimeConfig config,
                              std::shared_ptr<RegionForest> forest,
@@ -17,12 +49,14 @@ WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
     : rank_(rank),
       nranks_(nranks),
       dp_(std::move(data_plane)),
+      xfers_(rank),
       heartbeat_ms_(heartbeat_period_ms),
       window_ms_(stall_window_ms) {
   // The hooks capture `this`; they only ever fire from run()'s frame
   // processing, by which time conn_ exists.
-  config.point_owned = [rank, nranks](uint64_t, const Point& p,
-                                      const Domain& domain) {
+  config.point_owned = [this, rank, nranks](uint64_t, const Point& p,
+                                            const Domain& domain) {
+    if (const Route* r = xfers_.issuing()) return r->dest != rank;
     return owner_of(domain, p, nranks) == rank;
   };
   // Workers never run the interference analysis themselves: pair verdicts
@@ -33,7 +67,11 @@ WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
   config.on_task_success = [this](uint64_t seq, uint64_t launch, const Point&,
                                   TaskContext& ctx) {
     if (dp_.delta && ctx.fn == dp_.xfer_task) {
-      send_xfer_data(seq, launch, ctx);
+      const Route r = xfer_route(ctx);
+      if (r.src == rank_) send_xfer_data(seq, launch, r, ctx);
+      // Settled only now: a throwing send fails the task, and the fault
+      // hook must still find it to notify the destination.
+      xfers_.settle(launch);
       return;
     }
     TaskDone td;
@@ -54,6 +92,12 @@ WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
   };
   config.on_task_fault = [this](const TaskFault& fault) {
     TaskDone td;
+    if (const auto ends = xfers_.settle(fault.launch)) {
+      // A failed or poisoned transfer: only its destination waits on it,
+      // and every bystander reached the same verdict on its own.
+      if (ends->src != rank_) return;
+      td.dest = ends->dest;
+    }
     td.seq = fault.seq;
     td.ctx = obs::TraceContext{fault.launch, fault.seq, rank_};
     td.outcome.kind = fault.kind;
@@ -181,26 +225,17 @@ net::Connection* WorkerSession::peer_conn(uint32_t rank) {
 }
 
 void WorkerSession::send_xfer_data(uint64_t seq, uint64_t launch,
-                                   TaskContext& ctx) {
-  const XferArgs xa = ctx.arg<XferArgs>();
-  RegionData rd;
-  rd.seq = seq;
-  rd.dest = xa.dest;
-  rd.sent_ns = steady_now_ns();
-  rd.ctx = obs::TraceContext{launch, seq, rank_};
-  RegionPatch patch;
-  patch.arg = 0;
-  patch.field = xa.field;
-  patch.rect = xa.rect;
-  ctx.region(0).copy_out_rect(xa.field, xa.rect, patch.bytes);
-  const uint64_t nbytes = patch.bytes.size();
-  rd.patches.push_back(std::move(patch));
+                                   const Route& r, TaskContext& ctx) {
+  const RegionData rd =
+      make_region_data(seq, obs::TraceContext{launch, seq, rank_}, r, ctx);
+  uint64_t nbytes = 0;
+  for (const RegionPatch& p : rd.patches) nbytes += p.bytes.size();
   const std::vector<std::byte> payload = encode_region_data(rd);
 
   // Fallback ladder: direct link if one is up, driver relay otherwise
   // (dest 0 is the driver itself — always the relay path).
   bool direct = false;
-  if (net::Connection* peer = xa.dest == 0 ? nullptr : peer_conn(xa.dest)) {
+  if (net::Connection* peer = r.dest == 0 ? nullptr : peer_conn(r.dest)) {
     try {
       peer->send(static_cast<uint8_t>(Msg::kRegionData), payload);
       direct = true;
@@ -216,17 +251,6 @@ void WorkerSession::send_xfer_data(uint64_t seq, uint64_t launch,
   }
   net_.transfers.fetch_add(1, std::memory_order_relaxed);
   xfer_size_.observe(nbytes);
-
-  // Slim completion for every other rank. The driver excludes `data_dest`
-  // from the relay: the destination's copy of this outcome is the
-  // kRegionData payload above.
-  TaskDone td;
-  td.seq = seq;
-  td.data_dest = xa.dest;
-  td.ctx = obs::TraceContext{launch, seq, rank_};
-  td.outcome.ret = ctx.return_value;
-  td.outcome.has_data = false;
-  conn_->send(static_cast<uint8_t>(Msg::kTaskDone), encode_task_done(td));
 }
 
 void WorkerSession::apply_region_data(RegionData rd) {
@@ -241,7 +265,7 @@ void WorkerSession::apply_region_data(RegionData rd) {
   o.has_data = false;
   o.patches = std::move(rd.patches);
   // May arrive before this rank issued the transfer task (direct links race
-  // the driver's kRoute); complete_external buffers unknown seqs.
+  // the driver's kRoute frame); complete_external buffers unknown seqs.
   rt_->complete_external(seq, std::move(o));
   // The receiving half of the transfer edge: parented on the producing
   // transfer span of the sending rank, so the merged trace can draw a flow
@@ -276,22 +300,18 @@ void WorkerSession::on_frame(net::Frame& frame) {
     case Msg::kSingle:
       rt_->execute(deserialize_task_launcher(frame.payload));
       break;
-    case Msg::kRoute: {
+    case Msg::kRoute:
       // Replicated transfer issuance: every rank builds the identical
-      // launcher, so seq numbers stay aligned; only `src` runs the body.
-      const Route r = decode_route(frame.payload);
-      IDXL_REQUIRE(r.launch == UINT64_MAX ||
-                       r.launch == rt_->peek_next_launch_id(),
-                   "transfer launch id diverged from the routing directive "
-                   "(control replication bug)");
-      rt_->execute(make_xfer_launcher(dp_.xfer_task, r, nranks_));
+      // launchers, so seq numbers stay aligned (see TransferBook).
+      xfers_.issue(*rt_, dp_.xfer_task, decode_routes(frame.payload), nranks_);
       break;
-    }
     case Msg::kRegionData:
       // Driver-relayed delta payload for this rank.
       apply_region_data(decode_region_data(frame.payload));
       break;
     case Msg::kTaskDone: {
+      // A point task's outcome, or a fault notice for a transfer this rank
+      // is the destination of.
       TaskDone td = decode_task_done(frame.payload);
       const uint64_t span_start = rt_->profiler().now_ns();
       const uint64_t seq = td.seq;
@@ -304,19 +324,20 @@ void WorkerSession::on_frame(net::Frame& frame) {
       // Safe to fence on the receive thread: every outcome this rank's
       // externals need was forwarded before the fence on the same FIFO
       // connection (or arrives on an independent peer link), so wait_all()
-      // cannot depend on an unread driver frame.
-      const uint64_t id = decode_fence(frame.payload);
+      // cannot depend on an unread driver frame. For driver-relayed
+      // transfer payloads that takes the fence invariant spelled out at
+      // the driver's kRegionData relay.
+      const Fence fence = decode_fence(frame.payload);
       rt_->wait_all();
       FenceAck ack;
-      ack.fence = id;
+      ack.fence = fence.id;
       ack.report = rt_->fault_report();
       ack.net.bytes_hub = net_.bytes_hub.load(std::memory_order_relaxed);
       ack.net.bytes_relay = net_.bytes_relay.load(std::memory_order_relaxed);
       ack.net.bytes_p2p = net_.bytes_p2p.load(std::memory_order_relaxed);
       ack.net.transfers = net_.transfers.load(std::memory_order_relaxed);
-      // Piggyback a metrics snapshot: fences are rare and snapshots small,
-      // so every ack refreshes the driver's per-rank cluster view.
-      ack.metrics = serialize_metrics_snapshot(rt_->metrics().snapshot());
+      if (fence.want_metrics)
+        ack.metrics = serialize_metrics_snapshot(rt_->metrics().snapshot());
       conn_->send(static_cast<uint8_t>(Msg::kFenceAck), encode_fence_ack(ack));
       break;
     }

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,45 @@ struct WorkerDataPlane {
   TaskFnId xfer_task = UINT32_MAX;
   /// (peer worker rank, socket) — one end of each of this worker's links.
   std::vector<std::pair<uint32_t, net::Socket>> peers;
+};
+
+/// One rank's side of the replicated transfer tasks. Every rank issues every
+/// transfer, so the graph and the seq numbering stay identical, but only
+/// the destination waits on it: there the node is external and completes
+/// from the source's kRegionData, or from its fault notice. On every other
+/// rank the node is owned and runs the no-op body. The source ships the
+/// bytes from its success hook; a bystander (neither source nor
+/// destination) completes the node locally, with the poison fate its own
+/// copy of the graph gives it, and no message crosses for it.
+class TransferBook {
+ public:
+  struct Ends {
+    uint32_t src = 0;
+    uint32_t dest = 0;
+  };
+
+  explicit TransferBook(uint32_t rank) : rank_(rank) {}
+
+  /// Issue one route frame's transfers into `rt`, in order. Issuing thread
+  /// only; each route's launch id must be the next one `rt` assigns.
+  void issue(Runtime& rt, TaskFnId task, const std::vector<Route>& routes,
+             uint32_t nranks);
+
+  /// The route being issued right now, or nullptr. point_owned consults it
+  /// (it runs synchronously inside Runtime::execute): a transfer is owned
+  /// everywhere but at its destination.
+  const Route* issuing() const { return issuing_; }
+
+  /// Forget a transfer this rank owns once it settles, and return its ends;
+  /// nullopt when `launch` is no such transfer. The fault hook uses it to
+  /// address the notice (source) or suppress it (bystander).
+  std::optional<Ends> settle(uint64_t launch);
+
+ private:
+  uint32_t rank_;
+  const Route* issuing_ = nullptr;
+  std::mutex mu_;
+  std::unordered_map<uint64_t, Ends> owned_;  ///< launch id -> ends (mu_)
 };
 
 /// One worker process's half of the protocol: a local Runtime issued from
@@ -51,10 +93,11 @@ class WorkerSession {
 
  private:
   void on_frame(net::Frame& frame);
-  /// on_task_success arm for the transfer task: extract the routed rect,
-  /// push it to the destination (direct link first, driver relay as the
-  /// fallback), then announce a slim outcome upward.
-  void send_xfer_data(uint64_t seq, uint64_t launch, TaskContext& ctx);
+  /// on_task_success arm for a transfer this rank is the source of: push
+  /// its rects to the destination, direct link first, driver relay as the
+  /// fallback. Nothing else is sent.
+  void send_xfer_data(uint64_t seq, uint64_t launch, const Route& r,
+                      TaskContext& ctx);
   /// A kRegionData payload for this rank (direct or driver-relayed):
   /// complete the external transfer node with its patches.
   void apply_region_data(RegionData rd);
@@ -73,6 +116,7 @@ class WorkerSession {
   uint32_t rank_;
   uint32_t nranks_;
   WorkerDataPlane dp_;  ///< peers moved out into peers_ at construction
+  TransferBook xfers_;
   std::unique_ptr<Runtime> rt_;
   std::unique_ptr<net::Connection> conn_;
   /// Direct links, (peer worker rank, connection); frames arrive on each

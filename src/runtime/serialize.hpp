@@ -16,8 +16,9 @@ namespace idxl {
 /// descriptors cross process boundaries (src/net frames carry their own
 /// transport-level magic; this one covers the descriptor payload itself).
 inline constexpr uint32_t kWireMagic = 0x4C584449;  // "IDXL", little-endian
-inline constexpr uint8_t kWireVersion = 4;  // v4: trace context on launchers
-                                            // and data-plane payloads (v3:
+inline constexpr uint8_t kWireVersion = 5;  // v5: one route list per launch,
+                                            // multi-rect routes, fence flags
+                                            // (v4: trace context; v3:
                                             // Route/RegionData, slim outcomes)
 
 /// Wire format for launch descriptors.

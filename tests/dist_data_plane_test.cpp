@@ -2,15 +2,20 @@
 // plane"): VersionMap coherence planning in isolation, then the three wire
 // configurations — star-hub broadcast, delta via driver relay, delta over
 // direct worker links — run differentially against the local reference,
-// including forced peer-link failure and fault-poison merging.
+// including forced peer-link failure and fault-poison merging, and the
+// exact control-plane cost of one four-rank stencil step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "apps/stencil.hpp"
 #include "dist/dist_runtime.hpp"
 #include "dist/smoke_tasks.hpp"
 #include "dist/version_map.hpp"
@@ -356,6 +361,185 @@ TEST(DataPlaneTest, PoisonClosureAgreesAcrossConfigurations) {
     EXPECT_TRUE(fault_ids(r->report) == ref_ids);
     EXPECT_EQ(r->fout, ref_fout);
     EXPECT_EQ(r->fin, ref_fin);
+  }
+}
+
+// --- four ranks: transfer bystanders ----------------------------------------
+
+struct AppRun {
+  std::vector<double> out, in;
+  FaultReport report;
+};
+
+AppRun run_app(RuntimeApi& rt, const apps::StencilParams& params) {
+  apps::StencilApp app(rt, params);
+  app.run(params.iterations);
+  AppRun r;
+  r.out = app.output();
+  r.in = app.input();
+  r.report = rt.fault_report();
+  return r;
+}
+
+TEST(DataPlaneTest, BystanderFaultClosureMatchesLocalReference) {
+  // On four ranks a transfer between two of them has two bystanders, which
+  // complete it locally with the poison fate their own graph gives it. A
+  // failed increment poisons the transfers out of its block; the merged
+  // report and the surviving data must equal a local run's. Transfers are
+  // merged per producer block: merging every block one rank sends another
+  // would poison consumers that never read the failed block.
+  apps::StencilParams params;
+  params.nx = params.ny = 128;
+  params.px = params.py = 4;
+  params.radius = 2;
+  params.iterations = 3;
+  for (const Point& at : {Point::p2(1, 1), Point::p2(2, 0)}) {
+    SCOPED_TRACE(at.to_string());
+    auto plan = std::make_shared<const FaultPlan>(FaultPlan().fail(/*launch=*/1, at));
+    // The ranks fork first: no thread of the local runtime may exist yet.
+    DistConfig dc;
+    dc.ranks = 4;
+    dc.runtime.workers = 1;
+    dc.runtime.fault_plan = plan;
+    AppRun dist;
+    {
+      DistributedRuntime rt(dc);
+      dist = run_app(rt, params);
+    }
+    RuntimeConfig rc;
+    rc.workers = 1;
+    rc.fault_plan = plan;
+    Runtime local(rc);
+    const AppRun ref = run_app(local, params);
+    ASSERT_FALSE(ref.report.ok());
+    EXPECT_TRUE(fault_ids(dist.report) == fault_ids(ref.report));
+    EXPECT_EQ(dist.report.poisoned.size(), ref.report.poisoned.size());
+    EXPECT_EQ(dist.out, ref.out);
+    EXPECT_EQ(dist.in, ref.in);
+  }
+}
+
+// --- four ranks: exact control-plane counts ---------------------------------
+
+/// Frames of `type` sent cluster-wide (the rank="all" roll-up).
+uint64_t frames_sent(const obs::MetricsSnapshot& m, const std::string& type) {
+  uint64_t n = 0;
+  const obs::FamilySnapshot* f = m.family("idxl_net_frames_sent_total");
+  if (f == nullptr) return 0;
+  for (const obs::SeriesSnapshot& s : f->series) {
+    bool all = false, typed = false;
+    for (const auto& [k, v] : s.labels) {
+      all = all || (k == "rank" && v == "all");
+      typed = typed || (k == "type" && v == type);
+    }
+    if (all && typed) n += s.counter;
+  }
+  return n;
+}
+
+/// Distinct (src, dest, producer block) triples one stencil launch must
+/// ship on `ranks` ranks: a block owned elsewhere that meets the bounding
+/// box of a consumer's halo. Computed from geometry alone.
+uint64_t producer_groups(int64_t n, int64_t blocks, int64_t radius, uint32_t ranks) {
+  RegionForest forest;
+  const IndexSpaceId is = forest.create_index_space(Domain(Rect::box2(n, n)));
+  const FieldSpaceId fs = forest.create_field_space();
+  (void)forest.allocate_field(fs, sizeof(double), "in");
+  const RegionId region = forest.create_region(is, fs);
+  const PartitionId block_part = partition_equal(forest, is, Rect::box2(blocks, blocks));
+  const PartitionId halo_part = partition_halo(forest, is, block_part, radius);
+  const Domain dom(Rect::box2(blocks, blocks));
+  std::set<std::tuple<uint32_t, uint32_t, int64_t>> groups;
+  for (const Point& p : Rect::box2(blocks, blocks)) {
+    const uint32_t dest = owner_of(dom, p, ranks);
+    const Rect halo = forest.region_domain(forest.subregion(region, halo_part, p)).bounds();
+    for (const Point& q : Rect::box2(blocks, blocks)) {
+      const uint32_t src = owner_of(dom, q, ranks);
+      const Rect block = forest.region_domain(forest.subregion(region, block_part, q)).bounds();
+      if (src != dest && !halo.intersection(block).empty())
+        groups.emplace(src, dest, dom.linear_index(q));
+    }
+  }
+  return groups.size();
+}
+
+TEST(DataPlaneTest, ControlFramesPerStencilStepAreExact) {
+  // One stencil step on four ranks, counted frame by frame. The stencil
+  // launch sends one route frame per worker and issues one transfer per
+  // (src, dest, producer block); the increment plans nothing. Task-done
+  // frames are the point tasks' fan-out alone (each outcome reaches the
+  // three other ranks), none for transfers. The counts are deterministic,
+  // so they are asserted exactly, on two steps in a row.
+  constexpr uint32_t kRanks = 4;
+  constexpr int64_t kN = 64, kR = 2;
+  // (blocks per side, transfers per step): each rank boundary ships every
+  // block along it, both ways.
+  for (const auto& [blocks, want_groups] :
+       {std::pair<int64_t, uint64_t>{4, 24}, std::pair<int64_t, uint64_t>{8, 48}}) {
+    SCOPED_TRACE("blocks " + std::to_string(blocks));
+    const uint64_t groups = producer_groups(kN, blocks, kR, kRanks);
+    EXPECT_EQ(groups, want_groups);
+    const uint64_t points = static_cast<uint64_t>(blocks * blocks);
+
+    DistConfig dc;
+    dc.ranks = kRanks;
+    dc.runtime.workers = 1;
+    DistributedRuntime rt(dc);
+    RegionForest& forest = rt.forest();
+    const IndexSpaceId is = forest.create_index_space(Domain(Rect::box2(kN, kN)));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId fin = forest.allocate_field(fs, sizeof(double), "in");
+    const FieldId fout = forest.allocate_field(fs, sizeof(double), "out");
+    const RegionId region = forest.create_region(is, fs);
+    const PartitionId block_part = partition_equal(forest, is, Rect::box2(blocks, blocks));
+    const PartitionId halo_part = partition_halo(forest, is, block_part, kR);
+    const TaskFnId st = rt.register_task("smoke_stencil", smoke::stencil_body);
+    const TaskFnId inc = rt.register_task("smoke_increment", smoke::increment_body);
+    smoke::StencilArgs a;
+    a.fin = fin;
+    a.fout = fout;
+    a.radius = kR;
+    a.nx = kN;
+    a.ny = kN;
+    const Domain dom(Rect::box2(blocks, blocks));
+    const auto id = ProjectionFunctor::identity(2);
+    const auto stencil = [&] {
+      rt.execute_index(IndexLauncher::over(dom)
+                           .with_task(st)
+                           .scalars(ArgBuffer::of(a))
+                           .region(region, halo_part, id, {fin}, Privilege::kRead)
+                           .region(region, block_part, id, {fout}, Privilege::kReadWrite));
+    };
+    const auto increment = [&] {
+      rt.execute_index(IndexLauncher::over(dom)
+                           .with_task(inc)
+                           .scalars(ArgBuffer::of(a))
+                           .region(region, block_part, id, {fin}, Privilege::kReadWrite));
+    };
+    // Warm-up step: the first stencil reads bootstrap data, current on
+    // every rank, and plans no transfer.
+    stencil();
+    increment();
+    for (int step = 0; step < 2; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const obs::MetricsSnapshot m0 = rt.cluster_metrics();
+      const uint64_t s0 = rt.stats().single_launches;
+      stencil();
+      const obs::MetricsSnapshot m1 = rt.cluster_metrics();
+      const uint64_t s1 = rt.stats().single_launches;
+      increment();
+      const obs::MetricsSnapshot m2 = rt.cluster_metrics();
+      const uint64_t s2 = rt.stats().single_launches;
+      EXPECT_EQ(frames_sent(m1, "route") - frames_sent(m0, "route"), kRanks - 1);
+      EXPECT_EQ(frames_sent(m2, "route") - frames_sent(m1, "route"), 0u);
+      EXPECT_EQ(s1 - s0, groups);
+      EXPECT_EQ(s2 - s1, 0u);
+      EXPECT_EQ(frames_sent(m1, "task-done") - frames_sent(m0, "task-done"),
+                points * (kRanks - 1));
+      EXPECT_EQ(frames_sent(m2, "task-done") - frames_sent(m1, "task-done"),
+                points * (kRanks - 1));
+    }
+    EXPECT_TRUE(rt.fault_report().ok());
   }
 }
 
