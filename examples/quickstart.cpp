@@ -21,9 +21,8 @@ int main() {
   constexpr int64_t kElements = 64;
   constexpr int64_t kPieces = 8;
 
-  // Backend picked by $IDXL_BACKEND (local | sharded | dist) — the same
-  // program runs on a thread pool, on in-process shards, or across real OS
-  // processes without modification.
+  // Backend picked by $IDXL_BACKEND (local | dist) — the same program runs
+  // on a thread pool or across real OS processes without modification.
   const std::unique_ptr<RuntimeApi> rt_ptr = dist::make_runtime();
   RuntimeApi& rt = *rt_ptr;
   auto& forest = rt.forest();

@@ -80,8 +80,7 @@ struct SafetyReport {
 /// observation that per-launch analysis cost is what separates toy runtimes
 /// from usable ones). Keys are full-fidelity serializations, not hashes:
 /// a hash collision would silently reuse the wrong verdict, which is a
-/// soundness bug, so we spend the memory instead. Thread-safe (sharded
-/// runtimes share one cache across shard threads).
+/// soundness bug, so we spend the memory instead. Thread-safe.
 class VerdictCache {
  public:
   struct Counters {

@@ -23,8 +23,8 @@ struct StencilParams {
 ///   increment  read-writes `in` through the block partition
 class StencilApp {
  public:
-  /// Backend-independent: runs unmodified on the local, sharded and
-  /// distributed backends (construct `rt` via dist::make_runtime).
+  /// Backend-independent: runs unmodified on the local and distributed
+  /// backends (construct `rt` via dist::make_runtime).
   StencilApp(RuntimeApi& rt, const StencilParams& params);
 
   bool run_iteration();

@@ -9,7 +9,6 @@ namespace idxl::dist {
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kLocal: return "local";
-    case Backend::kSharded: return "sharded";
     case Backend::kDist: return "dist";
   }
   return "unknown";
@@ -33,25 +32,13 @@ std::unique_ptr<RuntimeApi> make_runtime(BackendConfig config) {
       env != nullptr && *env != '\0') {
     const std::string name(env);
     if (name == "local") backend = Backend::kLocal;
-    else if (name == "sharded") backend = Backend::kSharded;
     else if (name == "dist") backend = Backend::kDist;
-    else throw RuntimeError("IDXL_BACKEND must be local, sharded or dist (got '" +
+    else throw RuntimeError("IDXL_BACKEND must be local or dist (got '" +
                             name + "')");
   }
   switch (backend) {
     case Backend::kLocal:
       return std::make_unique<Runtime>(config.runtime);
-    case Backend::kSharded: {
-      ShardedConfig sc;
-      sc.shards = env_u32("IDXL_SHARDS", config.shards);
-      sc.workers_per_shard =
-          config.runtime.workers == 0 ? 1 : config.runtime.workers;
-      sc.enable_index_launches = config.runtime.enable_index_launches;
-      sc.enable_dynamic_checks = config.runtime.enable_dynamic_checks;
-      sc.enable_verdict_cache = config.runtime.enable_verdict_cache;
-      sc.fault_plan = config.runtime.fault_plan;
-      return std::make_unique<ShardedRuntime>(std::move(sc));
-    }
     case Backend::kDist: {
       DistConfig dc = config.dist;
       dc.runtime = config.runtime;

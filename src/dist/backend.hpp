@@ -4,34 +4,31 @@
 #include <string>
 
 #include "dist/dist_runtime.hpp"
-#include "shard/sharded_runtime.hpp"
 
 namespace idxl::dist {
 
-/// The three RuntimeApi backends (docs/DISTRIBUTED.md):
+/// The two RuntimeApi backends (docs/DISTRIBUTED.md):
 ///  * kLocal — one process, one thread pool (Runtime).
-///  * kSharded — in-process control replication (ShardedRuntime).
-///  * kDist — real multi-process execution (DistributedRuntime).
-enum class Backend { kLocal, kSharded, kDist };
+///  * kDist — dynamic control replication over real processes
+///    (DistributedRuntime).
+enum class Backend { kLocal, kDist };
 
 const char* backend_name(Backend b);
 
 struct BackendConfig {
   Backend backend = Backend::kLocal;
-  /// Local runtime configuration; the sharded/dist backends derive their
-  /// per-shard / per-process runtime from it.
+  /// Local runtime configuration; the dist backend derives its per-process
+  /// runtime from it.
   RuntimeConfig runtime;
-  /// Shard count for kSharded (IDXL_SHARDS overrides).
-  uint32_t shards = 2;
   /// Process count for kDist (IDXL_DIST_RANKS overrides); dist.runtime is
   /// replaced by `runtime` above.
   DistConfig dist;
 };
 
 /// Construct the backend `config` selects, with environment overrides:
-/// IDXL_BACKEND=local|sharded|dist picks the backend, IDXL_SHARDS and
-/// IDXL_DIST_RANKS size it. Workloads written against RuntimeApi run
-/// unmodified under any of the three — the env vars are the switch.
+/// IDXL_BACKEND=local|dist picks the backend, IDXL_DIST_RANKS sizes it.
+/// Workloads written against RuntimeApi run unmodified under either — the
+/// env vars are the switch.
 std::unique_ptr<RuntimeApi> make_runtime(BackendConfig config = {});
 
 }  // namespace idxl::dist

@@ -425,13 +425,12 @@ void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
       for (const Transfer& t : transfers) add_transfer(routes, t, owner);
     }
   }
-  // Writes. A sparse write footprint makes the owner broadcast the whole
-  // task outcome (needs_full_outcome) — mirror that here, or the map would
-  // claim data that never shipped.
+  // Writes. A sparse write footprint or a reduction makes the owner
+  // broadcast the whole task outcome (needs_full_outcome) — mirror that
+  // here, or the map would claim data that never shipped.
   bool full = false;
   for (const RegionArg& ra : args)
-    if (privilege_writes(ra.privilege) &&
-        !forest_->region_domain(ra.region).dense())
+    if (needs_full_outcome(ra.privilege, forest_->region_domain(ra.region)))
       full = true;
   for (const RegionArg& ra : args) {
     if (!privilege_writes(ra.privilege)) continue;
@@ -537,8 +536,10 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
       const uint64_t span_start = local_->profiler().now_ns();
       const uint64_t seq = td.seq;
       const obs::TraceContext ctx = td.ctx;
-      local_->complete_external(seq, std::move(td.outcome));
+      // Span first: the completion is what a fence observes, so it must
+      // order the profiler write before collect_cluster_trace reads it.
       record_apply_span(name_done_apply_, seq, ctx, span_start);
+      local_->complete_external(seq, std::move(td.outcome));
       break;
     }
     case Msg::kRegionData: {
@@ -553,8 +554,8 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
         RemoteOutcome o;
         o.has_data = false;
         o.patches = std::move(rd.patches);
-        local_->complete_external(rd.seq, std::move(o));
         record_apply_span(name_xfer_apply_, rd.seq, rd.ctx, span_start);
+        local_->complete_external(rd.seq, std::move(o));
         break;
       }
       // Relay leg of the fallback ladder: forward verbatim to the

@@ -184,7 +184,7 @@ Setup decode_setup(const std::vector<std::byte>& bytes) {
   su.journal.reserve(nops);
   for (uint32_t i = 0; i < nops; ++i) {
     SetupOp op;
-    op.kind = static_cast<SetupOp::Kind>(d.get_u8());
+    op.kind = d.get_enum(SetupOp::Kind::kSubregion, "setup op kind");
     op.domain = deserialize_domain(d);
     op.a = d.get_u32();
     op.b = d.get_u32();
@@ -237,7 +237,7 @@ TaskDone decode_task_done(const std::vector<std::byte>& bytes) {
   t.seq = d.get_u64();
   t.dest = d.get_u32();
   t.ctx = get_trace_ctx(d);
-  t.outcome.kind = static_cast<FaultKind>(d.get_u8());
+  t.outcome.kind = d.get_enum(FaultKind::kPoisoned, "fault kind");
   t.outcome.root = d.get_u64();
   t.outcome.attempts = d.get_u32();
   t.outcome.message = d.get_string();
@@ -426,7 +426,7 @@ obs::MetricsSnapshot deserialize_metrics_snapshot(
     obs::FamilySnapshot f;
     f.name = d.get_string();
     f.help = d.get_string();
-    f.kind = static_cast<obs::MetricKind>(d.get_u8());
+    f.kind = d.get_enum(obs::MetricKind::kHistogram, "metric kind");
     const uint32_t nseries = get_count(d, kSeriesMin, "metric series");
     f.series.reserve(nseries);
     for (uint32_t j = 0; j < nseries; ++j) {
@@ -529,7 +529,7 @@ Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
   for (uint32_t i = 0; i < nspans; ++i) {
     ProfileEvent ev;
     ev.name = d.get_u32();
-    ev.cat = static_cast<ProfCategory>(d.get_u8());
+    ev.cat = d.get_enum(ProfCategory::kRuntime, "profile category");
     ev.worker = static_cast<int32_t>(d.get_i64());
     ev.tid = d.get_u32();
     ev.start_ns = d.get_u64();
@@ -562,8 +562,8 @@ Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
     ev.edge = d.get_u64();
     for (int j = 0; j < obs::FlightEvent::kMaxPointDim; ++j)
       ev.coord[j] = d.get_i64();
-    ev.kind = static_cast<obs::LifecycleEvent>(d.get_u8());
-    ev.detail = static_cast<obs::LifecycleDetail>(d.get_u8());
+    ev.kind = d.get_enum(obs::LifecycleEvent::kEvicted, "lifecycle event");
+    ev.detail = d.get_enum(obs::LifecycleDetail::kCancel, "lifecycle detail");
     ev.dim = static_cast<int8_t>(d.get_u8());
     ev.worker = static_cast<int32_t>(d.get_i64());
     t.recent.push_back(ev);

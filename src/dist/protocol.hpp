@@ -21,13 +21,20 @@ namespace idxl::dist {
 uint64_t steady_now_ns();
 
 /// Delta mode ships written bytes only for footprints the driver can mirror
-/// in its coherence map: dense write domains. Any sparse write domain makes
-/// the whole task fall back to a full-block broadcast outcome. This must
-/// compute identically on the owning rank (from the mapped regions) and on
-/// the driver's planner (from the forest), or currency tracking diverges.
+/// in its coherence map: dense write domains. A sparse write domain makes
+/// the whole task fall back to a full-block broadcast outcome, and so does
+/// a reduction: the executor orders reductions into one subregion like
+/// writes, so points of a single launch can chain through it, and a
+/// transfer planned ahead of the launch would ship the data before the
+/// earlier reducer ran. This must compute identically on the owning rank
+/// (from the mapped regions) and on the driver's planner (from the forest),
+/// or currency tracking diverges.
+inline bool needs_full_outcome(Privilege priv, const Domain& domain) {
+  return priv == Privilege::kReduce || (privilege_writes(priv) && !domain.dense());
+}
 inline bool needs_full_outcome(const TaskContext& ctx) {
   for (const PhysicalRegion& pr : ctx.regions)
-    if (privilege_writes(pr.privilege()) && !pr.domain().dense()) return true;
+    if (needs_full_outcome(pr.privilege(), pr.domain())) return true;
   return false;
 }
 

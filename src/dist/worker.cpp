@@ -264,13 +264,15 @@ void WorkerSession::apply_region_data(RegionData rd) {
   RemoteOutcome o;
   o.has_data = false;
   o.patches = std::move(rd.patches);
+  // The receiving half of the transfer edge: parented on the producing
+  // transfer span of the sending rank, so the merged trace can draw a flow
+  // arrow from the source lane into this one. Recorded before the hand-off:
+  // the completion a fence observes then orders this span before the
+  // telemetry pull reads the profiler.
+  record_apply_span(name_xfer_apply_, seq, ctx, span_start);
   // May arrive before this rank issued the transfer task (direct links race
   // the driver's kRoute frame); complete_external buffers unknown seqs.
   rt_->complete_external(seq, std::move(o));
-  // The receiving half of the transfer edge: parented on the producing
-  // transfer span of the sending rank, so the merged trace can draw a flow
-  // arrow from the source lane into this one.
-  record_apply_span(name_xfer_apply_, seq, ctx, span_start);
 }
 
 void WorkerSession::run() {
@@ -316,8 +318,8 @@ void WorkerSession::on_frame(net::Frame& frame) {
       const uint64_t span_start = rt_->profiler().now_ns();
       const uint64_t seq = td.seq;
       const obs::TraceContext ctx = td.ctx;
-      rt_->complete_external(seq, std::move(td.outcome));
       record_apply_span(name_done_apply_, seq, ctx, span_start);
+      rt_->complete_external(seq, std::move(td.outcome));
       break;
     }
     case Msg::kFence: {

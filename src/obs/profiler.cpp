@@ -77,8 +77,8 @@ Profiler::Profiler(bool enabled)
   names_ = {"issue",         "dependence-analysis", "safety-check",
             "safety-check/static", "safety-check/dynamic", "safety-check/cache",
             "trace-capture", "trace-replay",        "future-reduce",
-            "wait-all",      "shard-exchange",      "dependence-group",
-            "dependence-materialize", "expand-chunk"};
+            "wait-all",      "dependence-group",    "dependence-materialize",
+            "expand-chunk"};
   IDXL_ASSERT(names_.size() == kWellKnownCount);
   for (uint32_t i = 0; i < names_.size(); ++i) name_ids_.emplace(names_[i], i);
 }

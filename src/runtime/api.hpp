@@ -97,12 +97,11 @@ struct LaunchResult {
 };
 
 /// The backend-independent runtime interface (the Specx-style "one task API
-/// across backends"): `Runtime` (local thread pool), `ShardedRuntime`
-/// (in-process control replication) and `DistributedRuntime` (real
-/// multi-process execution, src/dist) all implement it, so a workload
-/// written against RuntimeApi runs unmodified on all three. Construct
-/// through make_runtime() (src/dist/backend.hpp) to pick the backend from
-/// config or $IDXL_BACKEND.
+/// across backends"): `Runtime` (local thread pool) and `DistributedRuntime`
+/// (dynamic control replication over real processes, src/dist) both
+/// implement it, so a workload written against RuntimeApi runs unmodified
+/// on either. Construct through make_runtime() (src/dist/backend.hpp) to
+/// pick the backend from config or $IDXL_BACKEND.
 ///
 /// Contract notes:
 ///  * Issuance calls (register_task, execute, execute_index, fill) must
@@ -136,7 +135,7 @@ class RuntimeApi {
   virtual LaunchResult execute_index(const IndexLauncher& launcher) = 0;
 
   /// Fence: block until every issued task reached a terminal state, on every
-  /// process/shard of the backend.
+  /// process of the backend.
   virtual void wait_all() = 0;
 
   /// Structured outcome of every failure so far: root causes plus the
@@ -151,10 +150,8 @@ class RuntimeApi {
   /// The metrics registry backing stats().
   virtual obs::MetricsRegistry& metrics() = 0;
 
-  /// Run `program`, fence, and return the merged FaultReport — the
-  /// ShardedRuntime::run contract generalized to every backend (the sharded
-  /// backend overrides this to execute `program` SPMD on every shard).
-  virtual FaultReport run(const std::function<void(RuntimeApi&)>& program);
+  /// Run `program`, fence, and return the merged FaultReport.
+  FaultReport run(const std::function<void(RuntimeApi&)>& program);
 
   /// Resolve a launch's Future: fence, then fold the collected values.
   double get(const Future& future);

@@ -1,45 +1,10 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "region/domain.hpp"
 
 namespace idxl {
-
-/// Sharding functor (§5, DCR distribution): a pure function from a launch
-/// point to the node that owns it. Because it is pure, every node computes
-/// the same assignment with no communication, and the result can be
-/// memoized (the simulator models the memoization benefit).
-class ShardingFunctor {
- public:
-  virtual ~ShardingFunctor() = default;
-
-  /// Which of `total_shards` nodes owns launch point `p` of `domain`?
-  virtual uint32_t shard(const Point& p, const Domain& domain,
-                         uint32_t total_shards) const = 0;
-
-  /// All points of `domain` owned by `shard_id` — the O(|D|_local) local
-  /// sub-domain selection of §5. Default: filter by shard().
-  virtual std::vector<Point> local_points(const Domain& domain, uint32_t shard_id,
-                                          uint32_t total_shards) const;
-};
-
-/// Default sharding: contiguous blocks of the row-major linearization, so
-/// node k owns points [k*|D|/N, (k+1)*|D|/N). Matches Legion's default.
-class BlockShardingFunctor final : public ShardingFunctor {
- public:
-  uint32_t shard(const Point& p, const Domain& domain,
-                 uint32_t total_shards) const override;
-};
-
-/// Round-robin sharding by linearized index; useful for load-balancing
-/// sparse sweeps (the DOM wavefronts) where block sharding would idle nodes.
-class CyclicShardingFunctor final : public ShardingFunctor {
- public:
-  uint32_t shard(const Point& p, const Domain& domain,
-                 uint32_t total_shards) const override;
-};
 
 /// One slice of an index launch in the non-DCR distribution path: a
 /// sub-domain plus the contiguous node range it is destined for. Slices are

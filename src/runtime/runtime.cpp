@@ -618,8 +618,8 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   }
 
   // Safe: expand into point tasks. In this in-process executor "expansion"
-  // assigns work directly to the scheduler; the distributed pipeline's
-  // sharded/sliced distribution is modeled by src/sim.
+  // assigns work directly to the scheduler; src/dist splits it across
+  // ranks, and src/sim models sharded vs sliced distribution at scale.
   result.ran_as_index_launch = true;
   cells_.index_launches.inc();
 

@@ -194,8 +194,8 @@ std::vector<std::byte> serialize_launcher(const IndexLauncher& launcher) {
   serialize_domain(s, launcher.domain);
   s.put_u8(launcher.assume_verified ? 1 : 0);
   s.put_u8(static_cast<uint8_t>(launcher.result_redop));
-  // Retry policy is part of the descriptor: the sharded runtime's
-  // replication hash must catch shards disagreeing on failure semantics.
+  // Retry policy is part of the descriptor: every rank of a distributed run
+  // must apply the same failure semantics to the points it owns.
   s.put_u32(launcher.max_retries);
   s.put_u32(launcher.retry_backoff_ms);
   s.put_u32(launcher.timeout_ms);
@@ -230,7 +230,7 @@ IndexLauncher deserialize_launcher(const std::vector<std::byte>& bytes) {
   launcher.task = d.get_u32();
   launcher.domain = deserialize_domain(d);
   launcher.assume_verified = d.get_u8() != 0;
-  launcher.result_redop = static_cast<ReductionOp>(d.get_u8());
+  launcher.result_redop = d.get_enum(ReductionOp::kMax, "reduction op");
   launcher.max_retries = d.get_u32();
   launcher.retry_backoff_ms = d.get_u32();
   launcher.timeout_ms = d.get_u32();
@@ -239,8 +239,8 @@ IndexLauncher deserialize_launcher(const std::vector<std::byte>& bytes) {
     ProjectedArg arg;
     arg.parent = RegionId{d.get_u32()};
     arg.partition = PartitionId{d.get_u32()};
-    arg.privilege = static_cast<Privilege>(d.get_u8());
-    arg.redop = static_cast<ReductionOp>(d.get_u8());
+    arg.privilege = d.get_enum(Privilege::kReduce, "privilege");
+    arg.redop = d.get_enum(ReductionOp::kMax, "reduction op");
     const uint32_t nexprs = d.get_u32();
     std::vector<ExprPtr> exprs;
     exprs.reserve(nexprs);
@@ -292,7 +292,7 @@ TaskLauncher deserialize_task_launcher(const std::vector<std::byte>& bytes) {
   launcher.task = d.get_u32();
   launcher.point = d.get_point();
   launcher.launch_domain = deserialize_domain(d);
-  launcher.result_redop = static_cast<ReductionOp>(d.get_u8());
+  launcher.result_redop = d.get_enum(ReductionOp::kMax, "reduction op");
   launcher.max_retries = d.get_u32();
   launcher.retry_backoff_ms = d.get_u32();
   launcher.timeout_ms = d.get_u32();
@@ -300,8 +300,8 @@ TaskLauncher deserialize_task_launcher(const std::vector<std::byte>& bytes) {
   for (uint32_t a = 0; a < nargs; ++a) {
     RegionArg arg;
     arg.region = RegionId{d.get_u32()};
-    arg.privilege = static_cast<Privilege>(d.get_u8());
-    arg.redop = static_cast<ReductionOp>(d.get_u8());
+    arg.privilege = d.get_enum(Privilege::kReduce, "privilege");
+    arg.redop = d.get_enum(ReductionOp::kMax, "reduction op");
     const uint32_t nfields = d.get_u32();
     for (uint32_t f = 0; f < nfields; ++f) arg.fields.push_back(d.get_u32());
     launcher.args.push_back(std::move(arg));
@@ -330,7 +330,7 @@ TaskFault deserialize_fault(Deserializer& d) {
   fault.launch = d.get_u64();
   fault.point = d.get_point();
   fault.attempts = d.get_u32();
-  fault.kind = static_cast<FaultKind>(d.get_u8());
+  fault.kind = d.get_enum(FaultKind::kPoisoned, "fault kind");
   fault.root = d.get_u64();
   fault.message = d.get_string();
   return fault;

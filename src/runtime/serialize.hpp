@@ -73,6 +73,15 @@ class Deserializer {
   Point get_point();
   std::vector<std::byte> get_blob();
   std::string get_string();
+  /// Read a one-byte enum whose values run 0..`last`; any other byte throws
+  /// RuntimeError naming `what`, so no cast ever yields an undeclared value.
+  template <typename E>
+  E get_enum(E last, const char* what) {
+    const uint8_t v = get_u8();
+    IDXL_REQUIRE(v <= static_cast<uint8_t>(last),
+                 std::string("out-of-range ") + what + " on the wire");
+    return static_cast<E>(v);
+  }
   /// Consume the descriptor header; throws RuntimeError naming `what` on a
   /// magic or version mismatch.
   void check_header(const char* what);

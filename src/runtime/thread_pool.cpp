@@ -7,15 +7,14 @@
 
 namespace idxl {
 
-ThreadPool::ThreadPool(unsigned workers, int worker_id_base) {
+ThreadPool::ThreadPool(unsigned workers) {
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i)
-    threads_.emplace_back(
-        [this, id = worker_id_base + static_cast<int>(i)] { worker_loop(id); });
+    threads_.emplace_back([this, id = static_cast<int>(i)] { worker_loop(id); });
 }
 
 ThreadPool::~ThreadPool() {

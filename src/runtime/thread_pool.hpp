@@ -16,10 +16,7 @@ namespace idxl {
 /// pool only ever sees *ready* tasks).
 class ThreadPool {
  public:
-  /// `worker_id_base` offsets the ids this pool's workers report through
-  /// prof_current_worker(), so profiles from multi-pool runtimes (one pool
-  /// per shard) keep globally distinct worker lanes.
-  explicit ThreadPool(unsigned workers, int worker_id_base = 0);
+  explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

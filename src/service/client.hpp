@@ -71,7 +71,7 @@ class ServiceClient {
   /// Launch + wait for the ack; throws ServiceError on a typed reject.
   void launch_checked(const IndexLauncher& launcher);
 
-  /// Single-task variants (the sharded backend answers kBackend).
+  /// Single-task variants.
   uint64_t single(const TaskLauncher& launcher);
   void single_checked(const TaskLauncher& launcher);
 

@@ -84,6 +84,9 @@ Welcome decode_welcome(const std::vector<std::byte>& bytes) {
   w.max_in_flight = d.get_u32();
   w.max_region_bytes = d.get_u64();
   const uint32_t n = d.get_u32();
+  // Each name takes at least its 4-byte length: a larger count is corrupt,
+  // and is refused before it can size an allocation.
+  IDXL_REQUIRE(n <= d.remaining() / 4, "corrupt task count in service welcome");
   w.tasks.reserve(n);
   for (uint32_t i = 0; i < n; ++i) w.tasks.push_back(d.get_string());
   return w;
@@ -113,7 +116,7 @@ SetupAck decode_setup_ack(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   SetupAck a;
   a.tag = d.get_u64();
-  a.code = static_cast<Err>(d.get_u8());
+  a.code = d.get_enum(Err::kBackend, "error code");
   a.error = d.get_string();
   return a;
 }
@@ -165,7 +168,7 @@ LaunchAck decode_launch_ack(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   LaunchAck a;
   a.tag = d.get_u64();
-  a.code = static_cast<Err>(d.get_u8());
+  a.code = d.get_enum(Err::kBackend, "error code");
   a.launch = d.get_u64();
   a.error = d.get_string();
   return a;
@@ -227,7 +230,7 @@ Data decode_data(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   Data dd;
   dd.tag = d.get_u64();
-  dd.code = static_cast<Err>(d.get_u8());
+  dd.code = d.get_enum(Err::kBackend, "error code");
   dd.bytes = d.get_blob();
   dd.error = d.get_string();
   return dd;
@@ -243,7 +246,7 @@ std::vector<std::byte> encode_error(const ErrorMsg& e) {
 ErrorMsg decode_error(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   ErrorMsg e;
-  e.code = static_cast<Err>(d.get_u8());
+  e.code = d.get_enum(Err::kBackend, "error code");
   e.message = d.get_string();
   return e;
 }

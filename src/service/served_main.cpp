@@ -1,10 +1,11 @@
 // idxl-served — the always-on multi-tenant session server.
 //
-// Wraps a RuntimeApi backend (local by default; IDXL_BACKEND=sharded picks
-// control replication) in a ServiceRuntime and serves launch streams from
-// many concurrent clients over TCP or a Unix socket. SIGTERM/SIGINT trigger
-// a graceful drain: in-flight launches finish, pending fences are answered,
-// then every session closes. See docs/SERVICE.md.
+// Wraps a RuntimeApi backend (local by default; IDXL_BACKEND=dist picks
+// multi-process control replication) in a ServiceRuntime and serves launch
+// streams from many concurrent clients over TCP or a Unix socket.
+// SIGTERM/SIGINT trigger a graceful drain: in-flight launches finish,
+// pending fences are answered, then every session closes. See
+// docs/SERVICE.md.
 //
 // Usage:
 //   idxl-served --listen <port>          # TCP on 127.0.0.1:<port> (0 = ephemeral)

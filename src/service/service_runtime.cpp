@@ -552,8 +552,9 @@ void ServiceRuntime::do_launch(Session& s, Msg kind, uint64_t tag,
   std::string why;
   LaunchResult result;
   // Client bytes are decoded apart from the backend call, so a descriptor
-  // that fails to decode is answered as kBadMessage, not as a backend
-  // refusal. Either way the session stays open.
+  // that fails to decode (a RuntimeError, or an allocation failure on a
+  // hostile size) is answered as kBadMessage, not as a backend refusal.
+  // Either way the session stays open.
   IndexLauncher index;
   TaskLauncher single;
   try {
@@ -561,9 +562,13 @@ void ServiceRuntime::do_launch(Session& s, Msg kind, uint64_t tag,
       index = deserialize_launcher(body);
     else
       single = deserialize_task_launcher(body);
-  } catch (const RuntimeError& e) {
+  } catch (const std::exception& e) {
     return fail(Err::kBadMessage, std::string("bad launch descriptor: ") + e.what());
   }
+  // assume_verified is a compiler's promise about its own launches; a
+  // client cannot make it for the server, so every client launch is
+  // analyzed.
+  index.assume_verified = false;
   try {
     if (kind == Msg::kLaunch) {
       const Err code = translate_index(s, index, &why);

@@ -66,6 +66,21 @@ TEST(DistProtocolTest, HostileCountsAreTypedRejects) {
   }
 }
 
+TEST(DistProtocolTest, OutOfRangeEnumBytesAreTypedRejects) {
+  for (const hostile::EnumSite& site : hostile::dist_enum_sites()) {
+    SCOPED_TRACE(site.what);
+    EXPECT_NO_THROW(site.decode(site.bytes));
+    for (const std::vector<std::byte>& bad : hostile::out_of_range(site)) {
+      try {
+        site.decode(bad);
+        ADD_FAILURE() << "enum byte " << static_cast<int>(bad[site.offset]) << " decoded";
+      } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("out-of-range"), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
 TEST(DistProtocolTest, TruncatedPayloadsAreTypedRejects) {
   for (const hostile::CountSite& site : hostile::dist_count_sites()) {
     SCOPED_TRACE(site.what);

@@ -4,6 +4,7 @@
 // TaskDone relay, fence report verification and shutdown drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "dist/dist_runtime.hpp"
 #include "dist/protocol.hpp"
 #include "dist/smoke_tasks.hpp"
+#include "functor/expr.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/serialize.hpp"
@@ -132,6 +134,7 @@ struct DistRun {
   FaultReport report;
   uint64_t launch_bytes = 0;  ///< wire bytes of kLaunch frames to rank 1
   uint64_t launch_frames = 0;
+  uint64_t retries_succeeded = 0;  ///< summed over every rank
 };
 
 DistRun run_dist(uint32_t ranks, std::shared_ptr<const FaultPlan> plan = nullptr,
@@ -157,6 +160,8 @@ DistRun run_dist(uint32_t ranks, std::shared_ptr<const FaultPlan> plan = nullptr
     const obs::Labels labels{{"peer", "rank-1"}, {"type", "launch"}};
     out.launch_bytes = snap.value("idxl_net_bytes_sent_total", labels);
     out.launch_frames = snap.value("idxl_net_frames_sent_total", labels);
+    out.retries_succeeded = rt.cluster_metrics().value(
+        "idxl_retry_succeeded_total", {{"rank", "all"}});
   }
   return out;
 }
@@ -208,6 +213,9 @@ TEST(DistTest, RemoteRetrySucceeds) {
   const DistRun dist = run_dist(2, plan, /*retries=*/2);
   EXPECT_TRUE(dist.report.ok())
       << "failures=" << dist.report.failures.size();
+  // The retry ran on the owning rank and its counter reaches the cluster
+  // view.
+  EXPECT_EQ(dist.retries_succeeded, 1u);
   const LocalRun clean = run_local();
   EXPECT_EQ(clean.fout, dist.fout);
 }
@@ -361,6 +369,74 @@ TEST(DistTest, PoisonedCertificateOnWireIsRejected) {
   EXPECT_EQ(worker.stats().interference_skips, 0u);
 }
 
+TEST(DistTest, SparseWavefrontsWithDynamicChecksOnThreeRanks) {
+  // A DOM-style sweep under control replication: sparse diagonal launch
+  // domains whose wrapped plane-projection functors only the dynamic check
+  // can prove safe. Each wavefront runs as one index launch split across
+  // three ranks, on both data planes, and the sweep equals the serial
+  // recurrence cell (x,y) = max(left, up) + 1 = x + y + 1.
+  const int64_t bx = 3, by = 3;
+  for (const bool delta : {true, false}) {
+    DistConfig dc;
+    dc.ranks = 3;
+    dc.runtime.workers = 2;
+    dc.delta_transfers = delta;
+    DistributedRuntime rt(dc);
+    auto& forest = rt.forest();
+    const IndexSpaceId plane_is = forest.create_index_space(Domain(Rect::box2(bx, by)));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+    const RegionId plane = forest.create_region(plane_is, fs);
+    const PartitionId cells = partition_equal(forest, plane_is, Rect::box2(bx, by));
+    // Boundary cells skip the wrapped reads.
+    const TaskFnId relax = rt.register_task("relax", [](TaskContext& ctx) {
+      auto own = ctx.region(0).accessor<double>(0);
+      auto left = ctx.region(1).accessor<double>(0);
+      auto up = ctx.region(2).accessor<double>(0);
+      const Point p = ctx.point;
+      double best = 0;
+      if (p[0] > 0) best = std::max(best, left.read(Point::p2(p[0] - 1, p[1])));
+      if (p[1] > 0) best = std::max(best, up.read(Point::p2(p[0], p[1] - 1)));
+      own.write(p, best + 1.0);
+    });
+    // ((x + bx - 1) mod bx, y) and (x, (y + by - 1) mod by): non-affine, so
+    // every multi-point wavefront goes through the dynamic check.
+    const auto f_left = ProjectionFunctor::symbolic(
+        {make_mod(make_add(make_coord(0), make_const(bx - 1)), make_const(bx)),
+         make_coord(1)},
+        "left");
+    const auto f_up = ProjectionFunctor::symbolic(
+        {make_coord(0),
+         make_mod(make_add(make_coord(1), make_const(by - 1)), make_const(by))},
+        "up");
+    for (int64_t w = 0; w <= bx + by - 2; ++w) {
+      std::vector<Point> wave;
+      for (int64_t x = 0; x < bx; ++x)
+        for (int64_t y = 0; y < by; ++y)
+          if (x + y == w) wave.push_back(Point::p2(x, y));
+      const bool multi = wave.size() > 1;
+      const LaunchResult r = rt.execute_index(
+          IndexLauncher::over(Domain::from_points(std::move(wave)))
+              .with_task(relax)
+              .region(plane, cells, ProjectionFunctor::identity(2), {fv},
+                      Privilege::kWrite)
+              .region(plane, cells, f_left, {fv}, Privilege::kRead)
+              .region(plane, cells, f_up, {fv}, Privilege::kRead));
+      EXPECT_TRUE(r.ran_as_index_launch) << "wave " << w;
+      if (multi) {
+        EXPECT_TRUE(r.safety.used_dynamic()) << "wave " << w;
+      }
+    }
+    rt.wait_all();
+    EXPECT_TRUE(rt.fault_report().ok());
+    auto acc = rt.read_region<double>(plane, fv);
+    for (int64_t x = 0; x < bx; ++x)
+      for (int64_t y = 0; y < by; ++y)
+        EXPECT_EQ(acc.read(Point::p2(x, y)), static_cast<double>(x + y + 1))
+            << (delta ? "delta" : "star-hub") << " (" << x << "," << y << ")";
+  }
+}
+
 TEST(DistTest, RegisterAfterStartThrows) {
   DistConfig dc;
   dc.ranks = 1;
@@ -395,6 +471,13 @@ TEST(DistTest, OwnerOfPartitionsEveryDomain) {
     }
   }
   EXPECT_EQ(owner_of(Domain::line(1), Point::p1(0), 8), 0u);
+  // Sparse domains split by enumeration order, not by coordinate.
+  std::vector<Point> even;
+  for (int64_t i = 0; i < 12; i += 2) even.push_back(Point::p1(i));
+  const Domain sparse = Domain::from_points(even);
+  std::vector<int64_t> halves(2, 0);
+  for (const Point& p : even) ++halves[owner_of(sparse, p, 2)];
+  EXPECT_EQ(halves, (std::vector<int64_t>{3, 3}));
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
-#include "shard/sharded_runtime.hpp"
 
 namespace idxl {
 namespace {
@@ -580,94 +579,6 @@ TEST(FaultTest, ThousandPointLaunchSurvivesInjectedFailureViaRetry) {
   auto acc = fx.rt.read_region<double>(fx.grid, fx.fv);
   for (int64_t i = 0; i < kPoints; ++i)
     ASSERT_DOUBLE_EQ(acc.read(Point::p1(i)), static_cast<double>(i) * 2.0) << i;
-}
-
-// --- sharded runtime ------------------------------------------------------
-
-TEST(ShardedFaultTest, FaultReportPropagatesAcrossShards) {
-  ShardedConfig cfg;
-  cfg.shards = 2;
-  auto plan = std::make_shared<FaultPlan>();
-  plan->fail(0, Point::p1(1));  // owned by shard 0 (block sharding, 4 pieces)
-  cfg.fault_plan = plan;
-  ShardedRuntime rt(cfg);
-  auto& forest = rt.forest();
-  const auto is = forest.create_index_space(Domain::line(8));
-  const auto fs = forest.create_field_space();
-  const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
-  const FieldId fw = forest.allocate_field(fs, sizeof(double), "w");
-  const RegionId grid = forest.create_region(is, fs);
-  const PartitionId blocks = partition_equal(forest, is, Rect::line(4));
-  const PartitionId halos = partition_halo(forest, is, blocks, 1);
-  const TaskFnId writer = rt.register_task("writer", [](TaskContext& ctx) {
-    auto acc = ctx.region(0).accessor<double>(0);
-    ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, 1.0); });
-  });
-  const TaskFnId reader = rt.register_task("reader", [](TaskContext& ctx) {
-    auto in = ctx.region(0).accessor<double>(0);
-    auto out = ctx.region(1).accessor<double>(1);
-    ctx.region(1).domain().for_each(
-        [&](const Point& p) { out.write(p, in.read(p)); });
-  });
-  const auto id = ProjectionFunctor::identity(1);
-  const FaultReport report = rt.run([&](ShardContext& ctx) {
-    IndexLauncher w;
-    w.task = writer;
-    w.domain = Domain::line(4);
-    w.args = {{grid, blocks, id, {fv}, Privilege::kWrite, ReductionOp::kNone}};
-    ctx.execute_index(w);
-    IndexLauncher r;
-    r.task = reader;
-    r.domain = Domain::line(4);
-    r.args = {{grid, halos, id, {fv}, Privilege::kRead, ReductionOp::kNone},
-              {grid, blocks, id, {fw}, Privilege::kWrite, ReductionOp::kNone}};
-    ctx.execute_index(r);
-  });
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].kind, FaultKind::kInjected);
-  EXPECT_EQ(report.failures[0].launch, 0u);
-  EXPECT_EQ(report.failures[0].point, Point::p1(1));
-  // The failed writer (shard 0's point 1) poisons halo readers 0..2 —
-  // point 2 is owned by shard 1, so the poison crossed the shard boundary.
-  EXPECT_TRUE(poisoned_contains(report, 1, Point::p1(0)));
-  EXPECT_TRUE(poisoned_contains(report, 1, Point::p1(1)));
-  EXPECT_TRUE(poisoned_contains(report, 1, Point::p1(2)));
-  EXPECT_FALSE(poisoned_contains(report, 1, Point::p1(3)));
-  EXPECT_EQ(rt.fault_report(), report);
-}
-
-TEST(ShardedFaultTest, RetryRecoversAcrossShards) {
-  ShardedConfig cfg;
-  cfg.shards = 2;
-  auto plan = std::make_shared<FaultPlan>();
-  plan->fail(0, Point::p1(3), 0);  // shard 1's point fails once
-  cfg.fault_plan = plan;
-  ShardedRuntime rt(cfg);
-  auto& forest = rt.forest();
-  const auto is = forest.create_index_space(Domain::line(8));
-  const auto fs = forest.create_field_space();
-  const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
-  const RegionId grid = forest.create_region(is, fs);
-  const PartitionId blocks = partition_equal(forest, is, Rect::line(4));
-  const TaskFnId fill = rt.register_task("fill", [](TaskContext& ctx) {
-    auto acc = ctx.region(0).accessor<double>(0);
-    ctx.region(0).domain().for_each(
-        [&](const Point& p) { acc.write(p, static_cast<double>(p[0])); });
-  });
-  const FaultReport report = rt.run([&](ShardContext& ctx) {
-    IndexLauncher l;
-    l.task = fill;
-    l.domain = Domain::line(4);
-    l.max_retries = 2;
-    l.args = {{grid, blocks, ProjectionFunctor::identity(1), {fv},
-               Privilege::kWrite, ReductionOp::kNone}};
-    ctx.execute_index(l);
-  });
-  EXPECT_TRUE(report.ok());
-  auto acc = rt.read_region<double>(grid, fv);
-  for (int64_t i = 0; i < 8; ++i)
-    EXPECT_DOUBLE_EQ(acc.read(Point::p1(i)), static_cast<double>(i));
-  EXPECT_EQ(rt.metrics().snapshot().value("idxl_retry_succeeded_total"), 1u);
 }
 
 // --- fault-injection soak (nightly CI scales the knobs up) ----------------

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "dist/protocol.hpp"
+#include "hostile_descriptors.hpp"
 #include "runtime/serialize.hpp"
+#include "service/protocol.hpp"
 
 namespace idxl::hostile {
 
@@ -164,6 +166,105 @@ inline std::vector<CountSite> telemetry_sites() {
       {"telemetry waits-for", bytes, waits_at, 0, decode},
       {"telemetry externals", bytes, externals_at, 1, decode},
   };
+}
+
+/// Every enum byte of the dist decoders.
+inline std::vector<EnumSite> dist_enum_sites() {
+  const auto task_done = [](const std::vector<std::byte>& b) {
+    (void)dist::decode_task_done(b);
+  };
+  dist::TaskDone explicit_fail;
+  explicit_fail.outcome.kind = FaultKind::kExplicit;
+  dist::TaskDone injected = explicit_fail;
+  injected.outcome.kind = FaultKind::kInjected;
+
+  const auto telemetry = [](const std::vector<std::byte>& b) {
+    (void)dist::decode_telemetry(b);
+  };
+  dist::Telemetry base;
+  base.spans = {ProfileEvent{}};
+  base.recent = {obs::FlightEvent{}};
+  dist::Telemetry issue_span = base;
+  issue_span.spans[0].cat = ProfCategory::kIssue;
+  dist::Telemetry ready_event = base;
+  ready_event.recent[0].kind = obs::LifecycleEvent::kReady;
+  dist::Telemetry detailed = base;
+  detailed.recent[0].detail = obs::LifecycleDetail::kSafeStatic;
+
+  const auto setup = [](const std::vector<std::byte>& b) { (void)dist::decode_setup(b); };
+  SetupOp op;
+  op.kind = SetupOp::Kind::kIndexSpace;
+  dist::Setup index_space;
+  index_space.journal = {op};
+  dist::Setup field_space = index_space;
+  field_space.journal[0].kind = SetupOp::Kind::kFieldSpace;
+
+  const auto metrics = [](const std::vector<std::byte>& b) {
+    (void)dist::deserialize_metrics_snapshot(b);
+  };
+  obs::MetricsSnapshot counter;
+  counter.families = {obs::FamilySnapshot{}};
+  counter.families[0].kind = obs::MetricKind::kCounter;
+  obs::MetricsSnapshot gauge = counter;
+  gauge.families[0].kind = obs::MetricKind::kGauge;
+
+  return {
+      enum_site("task-done fault kind", dist::encode_task_done(explicit_fail),
+                dist::encode_task_done(injected), past(FaultKind::kPoisoned), task_done),
+      enum_site("telemetry span category", dist::encode_telemetry(base),
+                dist::encode_telemetry(issue_span), past(ProfCategory::kRuntime), telemetry),
+      enum_site("telemetry event kind", dist::encode_telemetry(base),
+                dist::encode_telemetry(ready_event), past(obs::LifecycleEvent::kEvicted),
+                telemetry),
+      enum_site("telemetry event detail", dist::encode_telemetry(base),
+                dist::encode_telemetry(detailed), past(obs::LifecycleDetail::kCancel),
+                telemetry),
+      enum_site("setup op kind", dist::encode_setup(index_space),
+                dist::encode_setup(field_space), past(SetupOp::Kind::kSubregion), setup),
+      enum_site("metric kind", dist::serialize_metrics_snapshot(counter),
+                dist::serialize_metrics_snapshot(gauge), past(obs::MetricKind::kHistogram),
+                metrics),
+  };
+}
+
+/// Every enum byte of the service decoders.
+inline std::vector<EnumSite> service_enum_sites() {
+  using service::Err;
+  const uint8_t bad = past(Err::kBackend);
+  service::SetupAck setup_ok;
+  service::SetupAck setup_bad = setup_ok;
+  setup_bad.code = Err::kBadMessage;
+  service::LaunchAck launch_ok;
+  service::LaunchAck launch_bad = launch_ok;
+  launch_bad.code = Err::kBadMessage;
+  service::Data data_ok;
+  service::Data data_bad = data_ok;
+  data_bad.code = Err::kBadMessage;
+  service::ErrorMsg error_ok;
+  service::ErrorMsg error_bad = error_ok;
+  error_bad.code = Err::kBadMessage;
+  return {
+      enum_site("setup-ack code", service::encode_setup_ack(setup_ok),
+                service::encode_setup_ack(setup_bad), bad,
+                [](const std::vector<std::byte>& b) { (void)service::decode_setup_ack(b); }),
+      enum_site("launch-ack code", service::encode_launch_ack(launch_ok),
+                service::encode_launch_ack(launch_bad), bad,
+                [](const std::vector<std::byte>& b) { (void)service::decode_launch_ack(b); }),
+      enum_site("data code", service::encode_data(data_ok), service::encode_data(data_bad), bad,
+                [](const std::vector<std::byte>& b) { (void)service::decode_data(b); }),
+      enum_site("error code", service::encode_error(error_ok), service::encode_error(error_bad),
+                bad, [](const std::vector<std::byte>& b) { (void)service::decode_error(b); }),
+  };
+}
+
+/// The welcome's task-name count: one task "t" closes the payload.
+inline CountSite welcome_site() {
+  service::Welcome w;
+  w.tenant = "a";
+  w.tasks = {"t"};
+  const std::vector<std::byte> bytes = service::encode_welcome(w);
+  return {"welcome tasks", bytes, bytes.size() - (4 + 1) - 4, 1,
+          [](const std::vector<std::byte>& b) { (void)service::decode_welcome(b); }};
 }
 
 /// Every count site of every hardened dist decoder.

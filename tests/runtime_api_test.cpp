@@ -1,7 +1,6 @@
 // The RuntimeApi facade contract: one workload, written once against the
-// interface, must produce identical results on the local, sharded and
-// distributed backends, and make_runtime() must honour config and
-// $IDXL_BACKEND.
+// interface, must produce identical results on the local and distributed
+// backends, and make_runtime() must honour config and $IDXL_BACKEND.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,7 +11,6 @@
 #include "dist/dist_runtime.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
-#include "shard/sharded_runtime.hpp"
 
 namespace idxl {
 namespace {
@@ -70,11 +68,10 @@ std::vector<double> expected() {
 
 TEST(RuntimeApiTest, SameWorkloadOnEveryBackend) {
   for (const dist::Backend backend :
-       {dist::Backend::kLocal, dist::Backend::kSharded, dist::Backend::kDist}) {
+       {dist::Backend::kLocal, dist::Backend::kDist}) {
     dist::BackendConfig config;
     config.backend = backend;
     config.runtime.workers = 2;
-    config.shards = 2;
     config.dist.ranks = 2;
     const auto rt = dist::make_runtime(config);
     ASSERT_NE(rt, nullptr);
@@ -87,35 +84,62 @@ TEST(RuntimeApiTest, StatsMapOntoCommonShape) {
   dist::BackendConfig config;
   config.runtime.workers = 2;
   for (const dist::Backend backend :
-       {dist::Backend::kLocal, dist::Backend::kSharded, dist::Backend::kDist}) {
+       {dist::Backend::kLocal, dist::Backend::kDist}) {
     config.backend = backend;
     const auto rt = dist::make_runtime(config);
     run_workload(*rt);
     const RuntimeStats stats = rt->stats();
     // 3 issuance calls (fill + 2 launches) expanded to kPieces point tasks
-    // each — every backend reports through the same counters. The sharded
-    // backend replays the stream once per shard, so point totals there are
-    // per-shard sums; all backends agree the launches were index launches.
+    // each — every backend reports through the same counters, and both agree
+    // the launches were index launches.
     EXPECT_GE(stats.index_launches, 2u) << dist::backend_name(backend);
     EXPECT_GE(stats.point_tasks, static_cast<uint64_t>(2 * kPieces));
     EXPECT_EQ(stats.tasks_failed, 0u);
   }
 }
 
-TEST(RuntimeApiTest, ShardedSingleTaskLaunchThrows) {
-  // ShardContext has no partition-free region arguments, so the sharded
-  // facade cannot express a single-task launch; it must refuse loudly.
-  dist::BackendConfig config;
-  config.backend = dist::Backend::kSharded;
-  const auto rt = dist::make_runtime(config);
-  const TaskFnId noop = rt->register_task("noop", [](TaskContext&) {});
-  EXPECT_THROW(rt->execute(TaskLauncher::for_task(noop)), RuntimeError);
+TEST(RuntimeApiTest, SingleTaskLaunchOnEveryBackend) {
+  // A partition-free single-task launch runs on both backends and is
+  // ordered after the index launch that wrote its region.
+  for (const dist::Backend backend : {dist::Backend::kLocal, dist::Backend::kDist}) {
+    dist::BackendConfig config;
+    config.backend = backend;
+    config.dist.ranks = 3;
+    const auto rt = dist::make_runtime(config);
+    auto& forest = rt->forest();
+    const IndexSpaceId is = forest.create_index_space(Domain::line(kElements));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId value = forest.allocate_field(fs, sizeof(double), "value");
+    const RegionId region = forest.create_region(is, fs);
+    const PartitionId pieces = partition_equal(forest, is, Rect::line(kPieces));
+    const TaskFnId write_idx = rt->register_task("write_idx", [](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each(
+          [&](const Point& p) { acc.write(p, static_cast<double>(p[0])); });
+    });
+    const TaskFnId negate = rt->register_task("negate", [](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, -acc.read(p)); });
+    });
+    rt->execute_index(IndexLauncher::over(Domain::line(kPieces))
+                          .with_task(write_idx)
+                          .region(region, pieces, ProjectionFunctor::identity(1),
+                                  {value}, Privilege::kWrite));
+    rt->execute(TaskLauncher::for_task(negate).region(region, {value},
+                                                      Privilege::kReadWrite));
+    rt->wait_all();
+    auto acc = rt->read_region<double>(region, value);
+    for (int64_t i = 0; i < kElements; ++i)
+      EXPECT_EQ(acc.read(Point::p1(i)), -static_cast<double>(i))
+          << dist::backend_name(backend) << " element " << i;
+    EXPECT_TRUE(rt->fault_report().ok()) << dist::backend_name(backend);
+  }
 }
 
 TEST(RuntimeApiTest, RunContractOnEveryBackend) {
   // RuntimeApi::run = program + fence + merged report, on any backend.
   for (const dist::Backend backend :
-       {dist::Backend::kLocal, dist::Backend::kSharded, dist::Backend::kDist}) {
+       {dist::Backend::kLocal, dist::Backend::kDist}) {
     dist::BackendConfig config;
     config.backend = backend;
     config.runtime.workers = 2;
@@ -160,13 +184,9 @@ TEST(RuntimeApiTest, StencilBitIdenticalOnLocalAndFourRanks) {
 }
 
 TEST(RuntimeApiTest, EnvSelectsBackend) {
-  ASSERT_EQ(setenv("IDXL_BACKEND", "sharded", 1), 0);
-  auto rt = dist::make_runtime();
-  EXPECT_NE(dynamic_cast<ShardedRuntime*>(rt.get()), nullptr);
-
   ASSERT_EQ(setenv("IDXL_BACKEND", "dist", 1), 0);
   ASSERT_EQ(setenv("IDXL_DIST_RANKS", "1", 1), 0);
-  rt = dist::make_runtime();
+  auto rt = dist::make_runtime();
   auto* dist_rt = dynamic_cast<dist::DistributedRuntime*>(rt.get());
   ASSERT_NE(dist_rt, nullptr);
   EXPECT_EQ(dist_rt->ranks(), 1u);
@@ -175,8 +195,11 @@ TEST(RuntimeApiTest, EnvSelectsBackend) {
   rt = dist::make_runtime();
   EXPECT_NE(dynamic_cast<Runtime*>(rt.get()), nullptr);
 
-  ASSERT_EQ(setenv("IDXL_BACKEND", "bogus", 1), 0);
-  EXPECT_THROW(dist::make_runtime(), RuntimeError);
+  // Any other name, "sharded" included, is an error, not a silent fallback.
+  for (const char* name : {"sharded", "bogus"}) {
+    ASSERT_EQ(setenv("IDXL_BACKEND", name, 1), 0);
+    EXPECT_THROW(dist::make_runtime(), RuntimeError) << name;
+  }
   ASSERT_EQ(unsetenv("IDXL_BACKEND"), 0);
   ASSERT_EQ(unsetenv("IDXL_DIST_RANKS"), 0);
 }

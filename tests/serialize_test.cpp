@@ -203,5 +203,20 @@ TEST(SerializeTest, SparsePointCountBeyondThePayloadThrows) {
   EXPECT_EQ(deserialize_launcher(hostile::sparse_count_launcher(2)).domain.volume(), 2);
 }
 
+TEST(SerializeTest, OutOfRangeEnumBytesThrow) {
+  for (const hostile::EnumSite& site : hostile::descriptor_enum_sites()) {
+    SCOPED_TRACE(site.what);
+    EXPECT_NO_THROW(site.decode(site.bytes));
+    for (const std::vector<std::byte>& bad : hostile::out_of_range(site)) {
+      try {
+        site.decode(bad);
+        ADD_FAILURE() << "enum byte " << static_cast<int>(bad[site.offset]) << " decoded";
+      } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("out-of-range"), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace idxl

@@ -17,7 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "dist/task_registry.hpp"
-#include "hostile_descriptors.hpp"
+#include "functor/expr.hpp"
+#include "hostile_frames.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/client.hpp"
@@ -295,6 +296,55 @@ TEST(ServiceIsolation, HostileDescriptorsAreTypedRejects) {
   std::memcpy(&v, bytes.data(), sizeof(double));
   EXPECT_EQ(v, 2.0);
   other.goodbye();
+}
+
+TEST(ServiceIsolation, ClientCannotSkipTheSafetyAnalysis) {
+  ServiceRuntime server(local_backend());
+  const uint16_t port = server.listen_tcp();
+  ServiceClient client = ServiceClient::connect_tcp("127.0.0.1", port);
+  const ClientRegion r = setup_region(client, 64, 4, 0.0);
+  // Every point read-writes block 0, so the points conflict, and the
+  // descriptor claims it was verified already.
+  IndexLauncher conflicting = increment_launch(client, r, 4);
+  conflicting.args[0].functor = ProjectionFunctor::symbolic({make_const(0)});
+  conflicting.assume_verified = true;
+  client.launch_checked(conflicting);
+  ASSERT_TRUE(client.fence().ok());
+
+  // The server analyzed the launch, found the conflict and ran the four
+  // increments as the sequential task loop.
+  const RuntimeStats stats = server.backend().stats();
+  EXPECT_EQ(stats.launches_assumed_verified, 0u);
+  EXPECT_EQ(stats.launches_unsafe, 1u);
+  const std::vector<std::byte> bytes = client.read_field(r.region, r.f);
+  double v = 0;
+  std::memcpy(&v, bytes.data(), sizeof(double));
+  EXPECT_EQ(v, 4.0);
+  client.goodbye();
+}
+
+TEST(ServiceProtocol, OutOfRangeCodesAndCountsAreTypedRejects) {
+  for (const hostile::EnumSite& site : hostile::service_enum_sites()) {
+    SCOPED_TRACE(site.what);
+    EXPECT_NO_THROW(site.decode(site.bytes));
+    for (const std::vector<std::byte>& bad : hostile::out_of_range(site)) {
+      try {
+        site.decode(bad);
+        ADD_FAILURE() << "enum byte " << static_cast<int>(bad[site.offset]) << " decoded";
+      } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("out-of-range"), std::string::npos) << e.what();
+      }
+    }
+  }
+  const hostile::CountSite welcome = hostile::welcome_site();
+  ASSERT_EQ(hostile::read_u32(welcome.bytes, welcome.offset), welcome.count);
+  EXPECT_NO_THROW(welcome.decode(welcome.bytes));
+  try {
+    welcome.decode(hostile::with_u32(welcome.bytes, welcome.offset, 0xFFFFFFFFu));
+    ADD_FAILURE() << "a task count of 0xFFFFFFFF decoded";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("count"), std::string::npos) << e.what();
+  }
 }
 
 // --- fair-share scheduling under contention -------------------------------
